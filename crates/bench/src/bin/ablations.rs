@@ -9,6 +9,7 @@
 
 use espresso::baselines::Baseline;
 use espresso::decision::{gpu, offload};
+use espresso::EvalPool;
 use espresso_bench::{runner, Table, Testbed};
 use espresso_gc::GcAlgorithm;
 use espresso_models::Model;
@@ -20,8 +21,8 @@ use espresso_strategy::OptionSpace;
 fn espresso_time(job: &espresso_sim::Job, config: &SimConfig) -> f64 {
     let sim = Simulator::new(job.clone(), *config);
     let space = OptionSpace::enumerate(&job.cluster);
-    let g = gpu::decide_with_simulator(&sim, &space.gpu_compressed());
-    offload::decide_with_simulator(&sim, &g.strategy, 100_000).iteration_time
+    let g = gpu::decide_fast(&sim, &space.gpu_compressed(), &EvalPool::default());
+    offload::decide_fast(&sim, &g.strategy, 100_000).iteration_time
 }
 
 fn main() {

@@ -1,7 +1,7 @@
 //! Table 5: wall-clock time to select compression strategies, Espresso vs
 //! brute force (extrapolated).
 
-use espresso::decision::brute;
+use espresso::oracle;
 use espresso::Espresso;
 use espresso_bench::{runner, Table, Testbed};
 use espresso_gc::GcAlgorithm;
@@ -21,7 +21,7 @@ fn main() {
         let esp = Espresso::new(job.clone());
         let (_, report) = esp.select_strategy();
         let space = OptionSpace::enumerate(&job.cluster);
-        let est = brute::estimate_full_search_seconds(
+        let est = oracle::estimate_full_search_seconds(
             &job,
             &space.gpu_compressed(),
             &SimConfig::default(),

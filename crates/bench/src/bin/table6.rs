@@ -1,7 +1,8 @@
 //! Table 6: wall-clock time to find the best CPU offloading, Espresso
 //! (Lemma 1 product space) vs brute force (2^|T_gpu|, extrapolated).
 
-use espresso::decision::{brute, gpu, offload};
+use espresso::decision::{gpu, offload};
+use espresso::EvalPool;
 use espresso_bench::{runner, Table, Testbed};
 use espresso_gc::GcAlgorithm;
 use espresso_models::Model;
@@ -20,10 +21,10 @@ fn main() {
         let job = runner::job(m, Testbed::Nvlink100G, 8, GcAlgorithm::randomk_1pct());
         let sim = Simulator::new(job.clone(), SimConfig::default());
         let space = OptionSpace::enumerate(&job.cluster);
-        let g = gpu::decide_with_simulator(&sim, &space.gpu_compressed());
+        let g = gpu::decide_fast(&sim, &space.gpu_compressed(), &EvalPool::default());
         let n_off = g.strategy.num_compressed();
         let t0 = std::time::Instant::now();
-        let off = offload::decide_with_simulator(&sim, &g.strategy, 150_000);
+        let off = offload::decide_fast(&sim, &g.strategy, 150_000);
         let secs = t0.elapsed().as_secs_f64();
         // Brute force over 2^n subsets: one timed simulation extrapolated.
         let per_sim = {
@@ -41,7 +42,6 @@ fn main() {
         } else {
             format!("{:.0} ms", est * 1e3)
         };
-        let _ = brute::estimate_full_search_seconds; // See Table 5 for the strategy-space analogue.
         table.row(vec![
             m.name().to_string(),
             format!("{n_off}"),

@@ -309,6 +309,7 @@ impl Crippled {
     /// Builds this mechanism's strategy for `job` (the bars of Figure 15).
     pub fn strategy(self, job: &Job, config: &espresso_sim::SimConfig) -> Strategy {
         use crate::decision::gpu;
+        use crate::parallel::EvalPool;
         let sim = espresso_sim::Simulator::new(job.clone(), *config);
         match self {
             Crippled::AllCompression => {
@@ -316,11 +317,12 @@ impl Crippled {
                 gpu::decide_forced_with_simulator(&sim, &self.candidates(job), init).strategy
             }
             Crippled::MyopicCompression => myopic(job, &self.candidates(job)),
-            Crippled::GpuOnly | Crippled::CpuOnly => {
-                gpu::decide_with_simulator(&sim, &self.candidates(job)).strategy
-            }
-            Crippled::InterAllgather | Crippled::InterAlltoall | Crippled::AlltoallAlltoall => {
-                gpu::decide_with_simulator(&sim, &self.candidates(job)).strategy
+            Crippled::GpuOnly
+            | Crippled::CpuOnly
+            | Crippled::InterAllgather
+            | Crippled::InterAlltoall
+            | Crippled::AlltoallAlltoall => {
+                gpu::decide_fast(&sim, &self.candidates(job), &EvalPool::default()).strategy
             }
         }
     }

@@ -23,12 +23,15 @@
 //!   `GetBestOption` simulates every candidate strategy and keeps the
 //!   argmin.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use espresso_cluster::CommPattern;
-use espresso_sim::{Job, SimConfig, Simulator};
+use espresso_sim::{DeltaSim, Job, SimConfig, Simulator};
 use espresso_strategy::{CompressionOption, OptionSpace, Strategy};
+
+use super::Evaluator;
+use crate::parallel::EvalPool;
 
 /// Outcome of Algorithm 1.
 #[derive(Debug, Clone)]
@@ -68,10 +71,23 @@ pub fn decide_with_candidates(
     config: &SimConfig,
 ) -> GpuDecision {
     let sim = Simulator::new(job.clone(), *config);
-    decide_with_simulator(&sim, candidates)
+    decide_fast(&sim, candidates, &EvalPool::default())
 }
 
-/// Algorithm 1 against a shared (cached) simulator.
+/// Algorithm 1 on the planner fast path: trials are priced through
+/// [`espresso_sim::DeltaSim`] (suffix re-simulation against the evolving
+/// incumbent, certified lower-bound pruning, an exact memo), and pools
+/// wider than one worker fan each position's candidate batch out in
+/// parallel with the results folded in canonical order.
+pub fn decide_fast(
+    sim: &Simulator,
+    candidates: &[Arc<CompressionOption>],
+    pool: &EvalPool,
+) -> GpuDecision {
+    decide_with::<DeltaSim>(sim, candidates, pool)
+}
+
+/// Algorithm 1 against a shared (cached) simulator, priced by `E`.
 ///
 /// The greedy sweep is iterated to a fixed point (at most four passes):
 /// a tensor whose compression did not pay while its neighbours were still
@@ -87,9 +103,10 @@ pub fn decide_with_candidates(
 /// within-group direction across passes — earliest-produced first on even
 /// passes, latest-produced first on odd ones. Acceptance is monotone in
 /// `F(S)`, so alternation can only improve the result.
-pub fn decide_with_simulator(
-    sim: &Simulator,
+pub(crate) fn decide_with<'s, E: Evaluator<'s>>(
+    sim: &'s Simulator,
     candidates: &[Arc<CompressionOption>],
+    pool: &EvalPool,
 ) -> GpuDecision {
     let job = sim.job();
     let n = job.num_tensors();
@@ -112,13 +129,13 @@ pub fn decide_with_simulator(
     // chains coincide for that size are behaviourally identical, so only
     // one representative needs simulating. This is a pure optimization —
     // it cannot change the argmin.
-    let mut dedup_cache: std::collections::HashMap<usize, Vec<Arc<CompressionOption>>> =
-        std::collections::HashMap::new();
+    let mut dedup_cache: HashMap<usize, Vec<Arc<CompressionOption>>> = HashMap::new();
 
-    let remove = |strategy: &Strategy,
+    let remove = |eval: &E,
+                  strategy: &Strategy,
                   ruled_out: &mut HashSet<usize>,
                   simulations: &mut usize| {
-        let result = sim.simulate(strategy);
+        let result = eval.simulate(strategy);
         *simulations += 1;
         for t in result.tensors_before_bubbles() {
             if !strategy.option(t).compresses() {
@@ -127,7 +144,8 @@ pub fn decide_with_simulator(
         }
     };
 
-    let mut best_time = sim.iteration_time(&strategy);
+    let mut eval = E::anchor(sim, &strategy);
+    let mut best_time = eval.base_time();
     simulations += 1;
     let mut all_ruled: HashSet<usize> = HashSet::new();
 
@@ -137,7 +155,7 @@ pub fn decide_with_simulator(
         let order = order_for_pass(pass);
         // Line 4: bubble analysis at the start of each pass.
         let mut ruled_out: HashSet<usize> = HashSet::new();
-        remove(&strategy, &mut ruled_out, &mut simulations);
+        remove(&eval, &strategy, &mut ruled_out, &mut simulations);
 
         for &idx in &order {
             if ruled_out.contains(&idx) {
@@ -153,117 +171,7 @@ pub fn decide_with_simulator(
             // while holding every other tensor fixed; keep the best by
             // F(S). The current (possibly uncompressed) option is the
             // implicit incumbent.
-            let mut best_option: Option<Arc<CompressionOption>> = None;
-            for cand in &deduped {
-                if cand == strategy.option(idx) {
-                    continue;
-                }
-                let mut trial = strategy.clone();
-                trial.set_option(idx, cand.clone());
-                let t = sim.iteration_time(&trial);
-                simulations += 1;
-                if t < best_time - 1e-12 {
-                    best_time = t;
-                    best_option = Some(cand.clone());
-                }
-            }
-            if let Some(opt) = best_option {
-                strategy.set_option(idx, opt);
-                // Line 8: compression may create new bubbles; re-rule-out.
-                remove(&strategy, &mut ruled_out, &mut simulations);
-            }
-        }
-        all_ruled.extend(ruled_out.iter().copied());
-        // Fixed point — but always give the flipped direction one try.
-        if pass >= 1 && best_time >= pass_start_time - 1e-12 {
-            break;
-        }
-    }
-
-    let mut ruled: Vec<usize> = all_ruled.into_iter().collect();
-    ruled.sort_unstable();
-    GpuDecision {
-        iteration_time: best_time,
-        strategy,
-        ruled_out: ruled,
-        simulations,
-    }
-}
-
-/// Algorithm 1 on the planner fast path.
-///
-/// Byte-compatible with [`decide_with_simulator`]: identical trial
-/// enumeration (same pass order, dedup, rule-outs, and skip rules),
-/// identical accept tests, and identical `simulations` counting — the
-/// `espresso-audit decide` differential sweep asserts the outputs match
-/// bit for bit. The speed comes from *how* each trial is priced:
-/// suffix-only re-simulation against the evolving incumbent
-/// ([`espresso_sim::DeltaSim`], re-anchored after every accept),
-/// certified lower-bound pruning (a pruned trial provably cannot pass
-/// the accept test, so skipping its simulation changes nothing), and an
-/// exact memo over repeated candidate timelines. Pools wider than one
-/// worker fan each position's candidate batch out in parallel with the
-/// results folded in canonical order.
-pub fn decide_fast(
-    sim: &Simulator,
-    candidates: &[Arc<CompressionOption>],
-    pool: &crate::parallel::EvalPool,
-) -> GpuDecision {
-    let job = sim.job();
-    let n = job.num_tensors();
-    let mut strategy = Strategy::uncompressed(n, default_pattern(job), &job.cluster);
-    let mut simulations = 0usize;
-
-    let order_for_pass = |pass: usize| -> Vec<usize> {
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| {
-            let (sa, sb) = (job.model.tensors[a].elems, job.model.tensors[b].elems);
-            let tie = if pass.is_multiple_of(2) { a.cmp(&b) } else { b.cmp(&a) };
-            sb.cmp(&sa).then(tie)
-        });
-        order
-    };
-
-    let mut dedup_cache: std::collections::HashMap<usize, Vec<Arc<CompressionOption>>> =
-        std::collections::HashMap::new();
-
-    let remove = |delta: &espresso_sim::DeltaSim<'_>,
-                  strategy: &Strategy,
-                  ruled_out: &mut HashSet<usize>,
-                  simulations: &mut usize| {
-        let result = delta.simulate(strategy);
-        *simulations += 1;
-        for t in result.tensors_before_bubbles() {
-            if !strategy.option(t).compresses() {
-                ruled_out.insert(t);
-            }
-        }
-    };
-
-    let mut best_time = sim.iteration_time(&strategy);
-    simulations += 1;
-    let mut delta = sim.delta(&strategy);
-    let mut all_ruled: HashSet<usize> = HashSet::new();
-
-    const MAX_PASSES: usize = 4;
-    for pass in 0..MAX_PASSES {
-        let pass_start_time = best_time;
-        let order = order_for_pass(pass);
-        let mut ruled_out: HashSet<usize> = HashSet::new();
-        remove(&delta, &strategy, &mut ruled_out, &mut simulations);
-
-        for &idx in &order {
-            if ruled_out.contains(&idx) {
-                continue;
-            }
-            let elems = job.model.tensors[idx].elems;
-            let deduped = dedup_cache
-                .entry(elems)
-                .or_insert_with(|| dedup_for_size(candidates, elems, job))
-                .clone();
-
-            let best_option = crate::decision::best_swap(
-                &delta,
+            let best_option = eval.best_swap(
                 &strategy,
                 idx,
                 &deduped,
@@ -274,11 +182,13 @@ pub fn decide_fast(
             );
             if let Some(opt) = best_option {
                 strategy.set_option(idx, opt);
-                remove(&delta, &strategy, &mut ruled_out, &mut simulations);
-                delta.rebase(&strategy, best_time);
+                // Line 8: compression may create new bubbles; re-rule-out.
+                remove(&eval, &strategy, &mut ruled_out, &mut simulations);
+                eval.rebase(&strategy, best_time);
             }
         }
         all_ruled.extend(ruled_out.iter().copied());
+        // Fixed point — but always give the flipped direction one try.
         if pass >= 1 && best_time >= pass_start_time - 1e-12 {
             break;
         }

@@ -20,8 +20,10 @@
 use std::sync::Arc;
 
 use espresso_gc::Device;
-use espresso_sim::{Job, SimConfig, Simulator};
+use espresso_sim::{DeltaSim, Job, SimConfig, Simulator};
 use espresso_strategy::{CompressionOption, Strategy};
+
+use super::Evaluator;
 
 /// Outcome of Algorithm 2.
 #[derive(Debug, Clone)]
@@ -115,12 +117,19 @@ pub fn decide(
     max_combinations: usize,
 ) -> OffloadDecision {
     let sim = Simulator::new(job.clone(), *config);
-    decide_with_simulator(&sim, base, max_combinations)
+    decide_fast(&sim, base, max_combinations)
 }
 
-/// Algorithm 2 against a shared (cached) simulator.
-pub fn decide_with_simulator(
-    sim: &Simulator,
+/// Algorithm 2 against a shared (cached) simulator on the planner fast
+/// path, priced through [`espresso_sim::DeltaSim`] with certified
+/// lower-bound pruning.
+pub fn decide_fast(sim: &Simulator, base: &Strategy, max_combinations: usize) -> OffloadDecision {
+    decide_with::<DeltaSim>(sim, base, max_combinations)
+}
+
+/// Algorithm 2 against a shared (cached) simulator, priced by `E`.
+pub(crate) fn decide_with<'s, E: Evaluator<'s>>(
+    sim: &'s Simulator,
     base: &Strategy,
     max_combinations: usize,
 ) -> OffloadDecision {
@@ -140,125 +149,11 @@ pub fn decide_with_simulator(
         .try_fold(1usize, |acc, n| acc.checked_mul(n))
         .unwrap_or(usize::MAX);
 
+    let mut eval = E::anchor(sim, base);
     if total <= max_combinations {
-        exhaustive(sim, base, &groups)
+        exhaustive(&eval, base, &groups)
     } else {
-        greedy(sim, base, &groups)
-    }
-}
-
-/// Algorithm 2 on the planner fast path — byte-compatible with
-/// [`decide_with_simulator`] (same traversal, accept tests, and
-/// combination counts; the differential sweep enforces it), priced
-/// through [`espresso_sim::DeltaSim`] with certified lower-bound
-/// pruning.
-pub fn decide_fast(sim: &Simulator, base: &Strategy, max_combinations: usize) -> OffloadDecision {
-    let job = sim.job();
-    let groups = lemma1_groups(job, base);
-    if groups.is_empty() {
-        return OffloadDecision {
-            strategy: base.clone(),
-            iteration_time: sim.iteration_time(base),
-            offloaded: Vec::new(),
-            combinations: 1,
-        };
-    }
-    let total: usize = groups
-        .iter()
-        .map(|g| 2 * g.tensors.len() + 1)
-        .try_fold(1usize, |acc, n| acc.checked_mul(n))
-        .unwrap_or(usize::MAX);
-
-    let mut delta = sim.delta(base);
-    if total <= max_combinations {
-        exhaustive_fast(&delta, base, &groups)
-    } else {
-        greedy_fast(&mut delta, base, &groups)
-    }
-}
-
-/// [`exhaustive`] through the delta engine. The reference accepts on
-/// `t < best_time` with **no** epsilon, so the prune threshold is
-/// exactly `best_time` — pruning against `best_time - 1e-12` would
-/// wrongly rule out candidates the reference accepts.
-fn exhaustive_fast(
-    delta: &espresso_sim::DeltaSim<'_>,
-    base: &Strategy,
-    groups: &[OffloadGroup],
-) -> OffloadDecision {
-    let cpu = cpu_variants(groups);
-    let mut u = vec![0usize; groups.len()];
-    let mut best_u = u.clone();
-    let mut best_time = f64::INFINITY;
-    let mut combinations = 0usize;
-    loop {
-        let (s, _) = apply(base, groups, &cpu, &u);
-        combinations += 1;
-        if let Some(t) = delta.eval_bounded(&s, best_time) {
-            if t < best_time {
-                best_time = t;
-                best_u = u.clone();
-            }
-        }
-        let mut i = 0;
-        loop {
-            if i == groups.len() {
-                let (strategy, offloaded) = apply(base, groups, &cpu, &best_u);
-                return OffloadDecision {
-                    strategy,
-                    iteration_time: best_time,
-                    offloaded,
-                    combinations,
-                };
-            }
-            u[i] += 1;
-            if u[i] <= 2 * groups[i].tensors.len() {
-                break;
-            }
-            u[i] = 0;
-            i += 1;
-        }
-    }
-}
-
-/// [`greedy`] through the delta engine, re-anchored after each group's
-/// choice so later groups re-simulate only their own suffix.
-fn greedy_fast(
-    delta: &mut espresso_sim::DeltaSim<'_>,
-    base: &Strategy,
-    groups: &[OffloadGroup],
-) -> OffloadDecision {
-    let cpu = cpu_variants(groups);
-    let mut u = vec![0usize; groups.len()];
-    let mut combinations = 1usize;
-    // The reference's first combination is `apply(u = 0)` — the base
-    // strategy itself, whose time the delta handle already knows.
-    let mut best_time = delta.base_time();
-    for (gi, group) in groups.iter().enumerate() {
-        let mut best_digit = 0usize;
-        for digit in 1..=2 * group.tensors.len() {
-            u[gi] = digit;
-            let (s, _) = apply(base, groups, &cpu, &u);
-            combinations += 1;
-            if let Some(t) = delta.eval_bounded(&s, best_time - 1e-12) {
-                if t < best_time - 1e-12 {
-                    best_time = t;
-                    best_digit = digit;
-                }
-            }
-        }
-        u[gi] = best_digit;
-        if best_digit != 0 {
-            let (s, _) = apply(base, groups, &cpu, &u);
-            delta.rebase(&s, best_time);
-        }
-    }
-    let (strategy, offloaded) = apply(base, groups, &cpu, &u);
-    OffloadDecision {
-        strategy,
-        iteration_time: best_time,
-        offloaded,
-        combinations,
+        greedy(&mut eval, base, &groups)
     }
 }
 
@@ -299,7 +194,15 @@ fn cpu_variants(groups: &[OffloadGroup]) -> Vec<Arc<CompressionOption>> {
 }
 
 /// Traverses the full `prod(|G_i| + 1)` product space.
-fn exhaustive(sim: &Simulator, base: &Strategy, groups: &[OffloadGroup]) -> OffloadDecision {
+///
+/// Accepts on `t < best_time` with **no** epsilon, so the prune
+/// threshold is exactly `best_time` — pruning against `best_time - 1e-12`
+/// would wrongly rule out candidates this test accepts.
+fn exhaustive<'s, E: Evaluator<'s>>(
+    eval: &E,
+    base: &Strategy,
+    groups: &[OffloadGroup],
+) -> OffloadDecision {
     let cpu = cpu_variants(groups);
     let mut u = vec![0usize; groups.len()];
     let mut best_u = u.clone();
@@ -307,11 +210,12 @@ fn exhaustive(sim: &Simulator, base: &Strategy, groups: &[OffloadGroup]) -> Offl
     let mut combinations = 0usize;
     loop {
         let (s, _) = apply(base, groups, &cpu, &u);
-        let t = sim.iteration_time(&s);
         combinations += 1;
-        if t < best_time {
-            best_time = t;
-            best_u = u.clone();
+        if let Some(t) = eval.eval_bounded(&s, best_time) {
+            if t < best_time {
+                best_time = t;
+                best_u = u.clone();
+            }
         }
         // Odometer increment over the mixed-radix vector (radix
         // 2n+1 per group: nothing, n front prefixes, n back prefixes).
@@ -337,29 +241,38 @@ fn exhaustive(sim: &Simulator, base: &Strategy, groups: &[OffloadGroup]) -> Offl
 }
 
 /// Greedy fallback: optimize each group's offload count in turn, holding
-/// the others fixed. Used only above the combination cap.
-fn greedy(sim: &Simulator, base: &Strategy, groups: &[OffloadGroup]) -> OffloadDecision {
+/// the others fixed. Used only above the combination cap. The evaluator
+/// is re-anchored after each group's choice so later groups re-price
+/// only their own change.
+fn greedy<'s, E: Evaluator<'s>>(
+    eval: &mut E,
+    base: &Strategy,
+    groups: &[OffloadGroup],
+) -> OffloadDecision {
     let cpu = cpu_variants(groups);
     let mut u = vec![0usize; groups.len()];
-    let mut combinations = 0usize;
-    let mut best_time = {
-        let (s, _) = apply(base, groups, &cpu, &u);
-        combinations += 1;
-        sim.iteration_time(&s)
-    };
+    // The first combination is `apply(u = 0)` — the base strategy itself,
+    // whose time the evaluator already knows.
+    let mut combinations = 1usize;
+    let mut best_time = eval.base_time();
     for (gi, group) in groups.iter().enumerate() {
         let mut best_digit = 0usize;
         for digit in 1..=2 * group.tensors.len() {
             u[gi] = digit;
             let (s, _) = apply(base, groups, &cpu, &u);
-            let t = sim.iteration_time(&s);
             combinations += 1;
-            if t < best_time - 1e-12 {
-                best_time = t;
-                best_digit = digit;
+            if let Some(t) = eval.eval_bounded(&s, best_time - 1e-12) {
+                if t < best_time - 1e-12 {
+                    best_time = t;
+                    best_digit = digit;
+                }
             }
         }
         u[gi] = best_digit;
+        if best_digit != 0 {
+            let (s, _) = apply(base, groups, &cpu, &u);
+            eval.rebase(&s, best_time);
+        }
     }
     let (strategy, offloaded) = apply(base, groups, &cpu, &u);
     OffloadDecision {

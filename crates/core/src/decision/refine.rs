@@ -19,8 +19,11 @@
 use std::sync::Arc;
 
 use espresso_gc::Device;
-use espresso_sim::Simulator;
+use espresso_sim::{DeltaSim, Simulator};
 use espresso_strategy::{CompressionOption, Strategy};
+
+use super::Evaluator;
+use crate::parallel::EvalPool;
 
 /// Outcome of the backfill pass.
 #[derive(Debug, Clone)]
@@ -35,12 +38,28 @@ pub struct RefineDecision {
     pub simulations: usize,
 }
 
-/// Runs the CPU backfill over `base`, drawing candidates from
-/// `compressed_options` (each moved wholly to the CPU).
-pub fn cpu_backfill(
+/// The backfill pass on the planner fast path, with the same
+/// delta-pricing, pruning, and optional pool fan-out as
+/// [`crate::decision::gpu::decide_fast`].
+pub fn cpu_backfill_fast(
     sim: &Simulator,
     base: &Strategy,
     compressed_options: &[Arc<CompressionOption>],
+    pool: &EvalPool,
+) -> RefineDecision {
+    cpu_backfill_with::<DeltaSim>(sim, base, compressed_options, pool)
+}
+
+/// Runs the CPU backfill over `base`, drawing candidates from
+/// `compressed_options` (each moved wholly to the CPU), priced by `E`.
+///
+/// An uncompressed incumbent is never in the CPU-compressed candidate
+/// set, so `best_swap` runs with `skip_current` off.
+pub(crate) fn cpu_backfill_with<'s, E: Evaluator<'s>>(
+    sim: &'s Simulator,
+    base: &Strategy,
+    compressed_options: &[Arc<CompressionOption>],
+    pool: &EvalPool,
 ) -> RefineDecision {
     let job = sim.job();
     let n = job.num_tensors();
@@ -60,77 +79,15 @@ pub fn cpu_backfill(
     });
 
     let mut strategy = base.clone();
-    let mut best_time = sim.iteration_time(&strategy);
+    let mut eval = E::anchor(sim, &strategy);
+    let mut best_time = eval.base_time();
     let mut simulations = 1usize;
     let mut backfilled = Vec::new();
     for &idx in &order {
         if strategy.option(idx).compresses() {
             continue;
         }
-        let mut best_option: Option<Arc<CompressionOption>> = None;
-        for cand in &cpu {
-            let mut trial = strategy.clone();
-            trial.set_option(idx, cand.clone());
-            let t = sim.iteration_time(&trial);
-            simulations += 1;
-            if t < best_time - 1e-12 {
-                best_time = t;
-                best_option = Some(cand.clone());
-            }
-        }
-        if let Some(opt) = best_option {
-            strategy.set_option(idx, opt);
-            backfilled.push(idx);
-        }
-    }
-    RefineDecision {
-        strategy,
-        iteration_time: best_time,
-        backfilled,
-        simulations,
-    }
-}
-
-/// The backfill pass on the planner fast path — byte-compatible with
-/// [`cpu_backfill`] (the differential sweep enforces it), with the same
-/// delta-pricing, pruning, and optional pool fan-out as the fast
-/// Algorithm 1. The reference loop never skips a candidate equal to the
-/// incumbent option (an uncompressed incumbent is never in the
-/// CPU-compressed candidate set), so `best_swap` runs with
-/// `skip_current` off to keep the simulation counts aligned.
-pub fn cpu_backfill_fast(
-    sim: &Simulator,
-    base: &Strategy,
-    compressed_options: &[Arc<CompressionOption>],
-    pool: &crate::parallel::EvalPool,
-) -> RefineDecision {
-    let job = sim.job();
-    let n = job.num_tensors();
-    let mut cpu: Vec<Arc<CompressionOption>> = compressed_options
-        .iter()
-        .map(|o| o.with_device(Device::Cpu))
-        .collect::<std::collections::BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    cpu.retain(|o| o.compresses());
-
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        let (sa, sb) = (job.model.tensors[a].elems, job.model.tensors[b].elems);
-        sb.cmp(&sa).then(b.cmp(&a))
-    });
-
-    let mut strategy = base.clone();
-    let mut best_time = sim.iteration_time(&strategy);
-    let mut delta = sim.delta(&strategy);
-    let mut simulations = 1usize;
-    let mut backfilled = Vec::new();
-    for &idx in &order {
-        if strategy.option(idx).compresses() {
-            continue;
-        }
-        let best_option = crate::decision::best_swap(
-            &delta,
+        let best_option = eval.best_swap(
             &strategy,
             idx,
             &cpu,
@@ -142,7 +99,7 @@ pub fn cpu_backfill_fast(
         if let Some(opt) = best_option {
             strategy.set_option(idx, opt);
             backfilled.push(idx);
-            delta.rebase(&strategy, best_time);
+            eval.rebase(&strategy, best_time);
         }
     }
     RefineDecision {
@@ -172,9 +129,10 @@ mod tests {
         );
         let sim = Simulator::new(job.clone(), SimConfig::default());
         let space = OptionSpace::enumerate(&job.cluster);
-        let g = gpu::decide_with_simulator(&sim, &space.gpu_compressed());
-        let off = offload::decide_with_simulator(&sim, &g.strategy, 100_000);
-        let refined = cpu_backfill(&sim, &off.strategy, &space.compressed());
+        let pool = EvalPool::default();
+        let g = gpu::decide_fast(&sim, &space.gpu_compressed(), &pool);
+        let off = offload::decide_fast(&sim, &g.strategy, 100_000);
+        let refined = cpu_backfill_fast(&sim, &off.strategy, &space.compressed(), &pool);
         assert!(refined.iteration_time <= off.iteration_time + 1e-12);
         for &t in &refined.backfilled {
             assert!(!off.strategy.option(t).compresses());
@@ -196,7 +154,7 @@ mod tests {
             job.num_tensors(),
             space.gpu_compressed()[0].clone(),
         );
-        let refined = cpu_backfill(&sim, &all, &space.compressed());
+        let refined = cpu_backfill_fast(&sim, &all, &space.compressed(), &EvalPool::default());
         assert!(refined.backfilled.is_empty());
         assert_eq!(refined.strategy, all);
     }

@@ -3,40 +3,27 @@
 
 use std::time::Instant;
 
-use espresso_sim::{Job, SimConfig, Simulator};
+use espresso_sim::{DeltaSim, Job, SimConfig, Simulator};
 use espresso_strategy::{Constraints, OptionSpace, Strategy};
 
-use crate::decision::{gpu, offload, refine};
+use crate::decision::{gpu, offload, refine, Evaluator, FullSim};
 use crate::parallel::EvalPool;
 
-/// Which planner implementation answers a selection request.
+/// Which evaluator prices the planner's trials.
 ///
-/// Both modes run the same algorithms over the same trial enumeration
+/// Both modes run the same algorithm text over the same trial enumeration
 /// and produce byte-identical strategies and reports (modulo wall-clock
 /// telemetry); `Fast` prices candidates through the incremental
-/// simulation engine with certified pruning, `Reference` replays every
-/// trial from scratch. The reference path exists as the differential
-/// oracle for the fast one (`espresso-audit decide`) and as an escape
-/// hatch (`ESPRESSO_REFERENCE_PLANNER=1`).
+/// simulation engine with certified pruning, `Reference` prices every
+/// trial with a from-scratch simulation. The reference evaluator exists
+/// as the differential oracle for the fast one (`espresso-audit decide`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlannerMode {
     /// Incremental delta re-simulation with lower-bound pruning (the
     /// default).
     Fast,
-    /// The from-scratch reference decision loops.
+    /// From-scratch simulation of every trial.
     Reference,
-}
-
-impl PlannerMode {
-    /// `Reference` when `ESPRESSO_REFERENCE_PLANNER=1` is set, `Fast`
-    /// otherwise.
-    pub fn from_env() -> Self {
-        if std::env::var_os("ESPRESSO_REFERENCE_PLANNER").is_some_and(|v| v == "1") {
-            PlannerMode::Reference
-        } else {
-            PlannerMode::Fast
-        }
-    }
 }
 
 /// Telemetry of one strategy selection (the quantities behind the paper's
@@ -142,11 +129,11 @@ impl Espresso {
     }
 
     /// Selects a near-optimal strategy: Algorithm 1 (GPU compression
-    /// decisions) then Algorithm 2 (optimal CPU offloading), on the
-    /// planner mode and pool configured in the environment
-    /// (`ESPRESSO_REFERENCE_PLANNER`, `ESPRESSO_PLANNER_THREADS`).
+    /// decisions) then Algorithm 2 (optimal CPU offloading), on the fast
+    /// planner and the pool configured in the environment
+    /// (`ESPRESSO_PLANNER_THREADS`).
     pub fn select_strategy(&self) -> (Strategy, Report) {
-        self.select_strategy_with(PlannerMode::from_env(), &EvalPool::from_env())
+        self.select_strategy_with(PlannerMode::Fast, &EvalPool::from_env())
     }
 
     /// As [`Espresso::select_strategy`] with an explicit planner mode
@@ -154,37 +141,30 @@ impl Espresso {
     /// drives from both sides.
     pub fn select_strategy_with(&self, mode: PlannerMode, pool: &EvalPool) -> (Strategy, Report) {
         let sim = Simulator::new(self.job.clone(), self.config);
+        match mode {
+            PlannerMode::Fast => self.plan::<DeltaSim>(&sim, pool),
+            PlannerMode::Reference => self.plan::<FullSim>(&sim, pool),
+        }
+    }
+
+    /// Algorithm 1, Algorithm 2 and the backfill, each priced by `E`.
+    fn plan<'s, E: Evaluator<'s>>(
+        &self,
+        sim: &'s Simulator,
+        pool: &EvalPool,
+    ) -> (Strategy, Report) {
         let t0 = Instant::now();
-        let gpu_decision = match mode {
-            PlannerMode::Reference => {
-                gpu::decide_with_simulator(&sim, &self.space.gpu_compressed())
-            }
-            PlannerMode::Fast => gpu::decide_fast(&sim, &self.space.gpu_compressed(), pool),
-        };
+        let gpu_decision = gpu::decide_with::<E>(sim, &self.space.gpu_compressed(), pool);
         let gpu_decision_seconds = t0.elapsed().as_secs_f64();
 
         let t1 = Instant::now();
-        let off = match mode {
-            PlannerMode::Reference => offload::decide_with_simulator(
-                &sim,
-                &gpu_decision.strategy,
-                self.max_offload_combinations,
-            ),
-            PlannerMode::Fast => {
-                offload::decide_fast(&sim, &gpu_decision.strategy, self.max_offload_combinations)
-            }
-        };
+        let off =
+            offload::decide_with::<E>(sim, &gpu_decision.strategy, self.max_offload_combinations);
         let offload_seconds = t1.elapsed().as_secs_f64();
 
         let t2 = Instant::now();
-        let refined = match mode {
-            PlannerMode::Reference => {
-                refine::cpu_backfill(&sim, &off.strategy, &self.space.compressed())
-            }
-            PlannerMode::Fast => {
-                refine::cpu_backfill_fast(&sim, &off.strategy, &self.space.compressed(), pool)
-            }
-        };
+        let refined =
+            refine::cpu_backfill_with::<E>(sim, &off.strategy, &self.space.compressed(), pool);
         let backfill_seconds = t2.elapsed().as_secs_f64();
 
         let report = Report {

@@ -44,9 +44,8 @@ pub use espresso::{Espresso, PlannerMode, Report};
 pub use parallel::{BoundedQueue, EvalPool};
 pub use espresso_strategy::Strategy;
 pub use robust::{
-    replan, replan_priority, replan_with_context, replan_with_warm, DegradationMonitor,
-    NoiseEnvelope, Replan, ReplanContext, RobustSelection,
-    RobustSelector,
+    replan, replan_priority, replan_with_context, DegradationMonitor, NoiseEnvelope, Replan,
+    ReplanContext, RobustSelection, RobustSelector,
 };
 pub use service::{decide, decide_with_warm, Decision, DecisionRequest, DecisionResponse};
 pub use upper_bound::upper_bound_time;

@@ -221,7 +221,7 @@ impl RobustSelector {
     /// [`EspressoError::Config`] for an invalid envelope, and
     /// [`EspressoError::Fault`] for an invalid fault plan.
     pub fn select(&self) -> Result<RobustSelection, EspressoError> {
-        self.select_with(PlannerMode::from_env(), &EvalPool::from_env())
+        self.select_with(PlannerMode::Fast, &EvalPool::from_env())
     }
 
     /// As [`RobustSelector::select`] with an explicit planner mode and
@@ -543,15 +543,12 @@ pub fn replan(
     })
 }
 
-/// Warm state carried between online re-plans of the same training run.
-///
-/// Historically this held its own `(job, health) → Replan` table; it is
-/// now a thin single-owner wrapper over the shared
-/// [`crate::warm::WarmStartCache`], so the training runtime and the fleet
-/// layer reuse one replay mechanism (and one soundness argument — see the
-/// `warm` module docs). Fleet health commonly flaps between a small set
-/// of states (nominal ↔ one link degraded), so the table stays tiny; it
-/// is bounded anyway, evicting the oldest entry first.
+/// Warm state carried between online re-plans of the same training run:
+/// a single-owner wrapper over [`crate::warm::WarmStartCache`] (see the
+/// `warm` module docs for the replay argument). Fleet health commonly
+/// flaps between a small set of states (nominal ↔ one link degraded), so
+/// the table stays tiny; it is bounded anyway, evicting the oldest entry
+/// first.
 ///
 /// Only the selection is replayed; `changed` is recomputed against the
 /// *current* strategy of the caller, which moves between re-plans.
@@ -578,10 +575,12 @@ impl ReplanContext {
     }
 }
 
-/// As [`replan`], seeded by `ctx`: a re-plan whose `(job, health)` inputs
-/// match a previously completed decision returns that decision (with
-/// `changed` recomputed against `current`) without re-running the
-/// planner. Cold results are stored back into `ctx`.
+/// As [`replan`], seeded by `ctx`: the nominal or robust selection
+/// backing the re-plan is replayed from `ctx` when its `(job, health)`
+/// inputs match a previously completed decision, and stored back after a
+/// cold plan — byte-identical either way, the planner being a pure
+/// function of the cached key's inputs. `changed` is always recomputed
+/// against `current`.
 ///
 /// # Errors
 ///
@@ -592,26 +591,7 @@ pub fn replan_with_context(
     health: &ClusterHealth,
     current: &Strategy,
 ) -> Result<Replan, EspressoError> {
-    replan_with_warm(&ctx.warm, job, health, current)
-}
-
-/// As [`replan`], seeded by a shared [`WarmStartCache`]: the nominal or
-/// robust selection backing the re-plan is replayed from the cache on a
-/// key match and stored back after a cold plan — byte-identical either
-/// way, the planner being a pure function of the cached key's inputs.
-/// Unlike [`replan_with_context`] the cache is shared: a fleet controller
-/// passes one instance from every planner worker, so repeated and
-/// near-identical re-plans reuse work across jobs and connections.
-///
-/// # Errors
-///
-/// As [`RobustSelector::select`].
-pub fn replan_with_warm(
-    warm: &WarmStartCache,
-    job: &Job,
-    health: &ClusterHealth,
-    current: &Strategy,
-) -> Result<Replan, EspressoError> {
+    let warm = &ctx.warm;
     let (strategy, predicted_time, chosen) = if health.is_nominal() {
         let key = WarmStartCache::nominal_key(job);
         match warm.get_nominal(&key) {

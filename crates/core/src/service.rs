@@ -587,7 +587,7 @@ mod tests {
 
     #[test]
     fn warm_decides_match_cold_byte_for_byte() {
-        let warm = crate::warm::WarmStartCache::with_enabled(16, 2, true);
+        let warm = crate::warm::WarmStartCache::new(16, 2);
         let mut req = lstm_request();
         req.health = ClusterHealth::inter_degraded(2.0);
         req.faults = Some("seed=7,straggler=1.5".into());

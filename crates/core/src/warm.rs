@@ -4,9 +4,8 @@
 //! determined by the [`Job`] alone, a robust selection by
 //! `(job, health, faults)`. [`WarmStartCache`] keys *completed* selection
 //! artifacts by exactly those inputs and replays them on a match —
-//! byte-identical to a cold plan by construction, at lookup cost. Where
-//! the old `ReplanContext` scoped this reuse to one training run, the
-//! cache here is `Sync` and sharded, so a fleet controller or a decision
+//! byte-identical to a cold plan by construction, at lookup cost. The
+//! cache is `Sync` and sharded, so a fleet controller or a decision
 //! server can share one instance across every connection and worker
 //! thread.
 //!
@@ -22,11 +21,6 @@
 //!   [`Report`]'s wall-clock telemetry fields are carried as measured by
 //!   the cold plan — they are documented as excluded from the equality
 //!   contract, exactly as with the planner fast path.
-//!
-//! `ESPRESSO_WARM_STARTS=0` is the escape hatch (the
-//! `ESPRESSO_REFERENCE_PLANNER` of this layer): a cache constructed under
-//! it never stores or returns anything, so every plan is cold and the
-//! differential sweep can compare the two regimes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -55,7 +49,6 @@ enum WarmEntry {
 pub struct WarmStartCache {
     shards: Vec<Mutex<Vec<(String, WarmEntry)>>>,
     per_shard: usize,
-    enabled: bool,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -66,32 +59,16 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 
 impl WarmStartCache {
     /// A cache holding at most `capacity` selections across `shards`
-    /// shards (both clamped to at least 1), enabled unless
-    /// `ESPRESSO_WARM_STARTS=0` is set in the environment at construction
-    /// time.
+    /// shards (both clamped to at least 1).
     pub fn new(capacity: usize, shards: usize) -> Self {
-        let enabled = std::env::var("ESPRESSO_WARM_STARTS").map_or(true, |v| v != "0");
-        Self::with_enabled(capacity, shards, enabled)
-    }
-
-    /// As [`WarmStartCache::new`] with the enable switch pinned — the
-    /// audit layer uses this to compare warm and cold regimes in one
-    /// process regardless of the environment.
-    pub fn with_enabled(capacity: usize, shards: usize, enabled: bool) -> Self {
         let shards = shards.clamp(1, capacity.max(1));
         let per_shard = capacity.max(1).div_ceil(shards);
         Self {
             shards: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
             per_shard,
-            enabled,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
-    }
-
-    /// Whether lookups can ever hit (false under `ESPRESSO_WARM_STARTS=0`).
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// The cache key of `job`'s nominal selection.
@@ -111,9 +88,6 @@ impl WarmStartCache {
     }
 
     fn get(&self, key: &str) -> Option<WarmEntry> {
-        if !self.enabled {
-            return None;
-        }
         let shard = lock(&self.shards[self.shard_of(key)]);
         let found = shard.iter().find(|(k, _)| k == key).map(|(_, e)| e.clone());
         match &found {
@@ -124,9 +98,6 @@ impl WarmStartCache {
     }
 
     fn insert(&self, key: String, entry: WarmEntry) {
-        if !self.enabled {
-            return;
-        }
         let mut shard = lock(&self.shards[self.shard_of(&key)]);
         if shard.iter().any(|(k, _)| *k == key) {
             return; // A racing planner stored the identical artifact.
@@ -202,7 +173,7 @@ mod tests {
 
     #[test]
     fn nominal_hits_replay_the_stored_selection() {
-        let cache = WarmStartCache::with_enabled(8, 2, true);
+        let cache = WarmStartCache::new(8, 2);
         let key = WarmStartCache::nominal_key(&small_job());
         assert!(cache.get_nominal(&key).is_none());
         let cold = Espresso::new(small_job()).select_strategy();
@@ -241,7 +212,7 @@ mod tests {
         }
         // A nominal entry never answers a robust lookup of the same key
         // text (and vice versa) even if the keys were to collide.
-        let cache = WarmStartCache::with_enabled(8, 1, true);
+        let cache = WarmStartCache::new(8, 1);
         let cold = Espresso::new(small_job()).select_strategy();
         cache.insert_nominal(degraded.clone(), cold);
         assert!(cache.get_robust(&degraded).is_none());
@@ -249,7 +220,7 @@ mod tests {
 
     #[test]
     fn capacity_bounds_hold_with_fifo_eviction() {
-        let cache = WarmStartCache::with_enabled(4, 1, true);
+        let cache = WarmStartCache::new(4, 1);
         let cold = Espresso::new(small_job()).select_strategy();
         for i in 0..10 {
             cache.insert_nominal(format!("k{i}"), cold.clone());
@@ -257,15 +228,5 @@ mod tests {
         assert_eq!(cache.len(), 4);
         assert!(cache.get_nominal("k0").is_none(), "oldest entries evicted");
         assert!(cache.get_nominal("k9").is_some(), "newest entries kept");
-    }
-
-    #[test]
-    fn disabled_cache_never_stores_or_hits() {
-        let cache = WarmStartCache::with_enabled(8, 2, false);
-        let cold = Espresso::new(small_job()).select_strategy();
-        cache.insert_nominal("k".into(), cold);
-        assert!(cache.get_nominal("k").is_none());
-        assert!(cache.is_empty());
-        assert_eq!(cache.hits() + cache.misses(), 0);
     }
 }

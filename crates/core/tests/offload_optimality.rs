@@ -91,7 +91,7 @@ fn instance_gap(tensors: usize, model_seed: u64, opt_seed: u64, cluster: Cluster
     let base = Strategy::uniform(job.num_tensors(), opt);
     let sim = Simulator::new(job.clone(), SimConfig::default());
 
-    let d = offload::decide_with_simulator(&sim, &base, usize::MAX);
+    let d = offload::decide_fast(&sim, &base, usize::MAX);
     let brute = subset_brute_force(&sim, &base);
     // Algorithm 2's moves are a subset of the brute force's space, so it
     // can tie but never win; a "negative gap" means the brute force (or
@@ -170,7 +170,7 @@ proptest! {
         let opt = offloadable[(opt_seed as usize) % offloadable.len()].clone();
         let base = Strategy::uniform(job.num_tensors(), opt);
         let sim = Simulator::new(job.clone(), SimConfig::default());
-        let d = offload::decide_with_simulator(&sim, &base, usize::MAX);
+        let d = offload::decide_fast(&sim, &base, usize::MAX);
         prop_assert!(d.iteration_time <= sim.iteration_time(&base) + 1e-12);
     }
 }

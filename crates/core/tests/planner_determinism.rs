@@ -4,7 +4,8 @@
 //! repeated. The pool merges results in canonical candidate order, so
 //! scheduling nondeterminism between workers can never reorder an
 //! accept decision — these tests hold that claim against real
-//! selections.
+//! selections. The reference evaluator (every trial simulated from
+//! scratch, serially) is the oracle every fast-path run must match.
 
 use espresso::robust::RobustSelector;
 use espresso::{Espresso, EvalPool, PlannerMode, Report, Strategy};
@@ -46,20 +47,22 @@ fn report_key(r: &Report) -> (u64, u64, [usize; 6]) {
     )
 }
 
-/// Selects on every worker count (twice each) and asserts one identical
-/// outcome.
-fn assert_invariant_across_pools(job: &Job) -> (Strategy, Report) {
-    let espresso = Espresso::new(job.clone());
-    let (s1, r1) = espresso.select_strategy_with(PlannerMode::Fast, &EvalPool::new(1));
+/// Selects on every worker count (twice each) and asserts one outcome,
+/// identical to the reference planner's.
+fn assert_invariant_across_pools(espresso: &Espresso) -> (Strategy, Report) {
+    let (s1, r1) = espresso.select_strategy_with(PlannerMode::Reference, &EvalPool::new(1));
     for workers in WORKER_COUNTS {
         let pool = EvalPool::new(workers);
         for rep in 0..2 {
             let (s, r) = espresso.select_strategy_with(PlannerMode::Fast, &pool);
-            assert_eq!(s, s1, "strategy changed at {workers} workers (rep {rep})");
+            assert_eq!(
+                s, s1,
+                "fast strategy differs from reference at {workers} workers (rep {rep})"
+            );
             assert_eq!(
                 report_key(&r),
                 report_key(&r1),
-                "report changed at {workers} workers (rep {rep})"
+                "fast report differs from reference at {workers} workers (rep {rep})"
             );
         }
     }
@@ -73,9 +76,23 @@ fn paper_models_select_identically_across_worker_counts() {
         (Model::Vgg16, GcAlgorithm::dgc_1pct()),
     ] {
         let job = Job::new(model.profile(), Cluster::pcie_25g(2, 4), algo);
-        let (_, report) = assert_invariant_across_pools(&job);
+        let (_, report) = assert_invariant_across_pools(&Espresso::new(job));
         assert!(report.gpu_simulations > 0);
     }
+}
+
+#[test]
+fn greedy_offload_selects_identically_across_worker_counts() {
+    // A one-combination cap forces Algorithm 2 onto its greedy traversal.
+    let job = Job::new(
+        Model::Lstm.profile(),
+        Cluster::pcie_25g(2, 4),
+        GcAlgorithm::dgc_1pct(),
+    );
+    let mut espresso = Espresso::new(job);
+    espresso.max_offload_combinations = 1;
+    let (_, report) = assert_invariant_across_pools(&espresso);
+    assert!(report.compressed_tensors > 0, "Algorithm 2 must have groups");
 }
 
 #[test]
@@ -87,7 +104,7 @@ fn robust_selection_is_identical_across_worker_counts() {
     );
     let selector = RobustSelector::new(job, ClusterHealth::inter_degraded(2.0));
     let first = selector
-        .select_with(PlannerMode::Fast, &EvalPool::new(1))
+        .select_with(PlannerMode::Reference, &EvalPool::new(1))
         .expect("selection succeeds");
     for workers in WORKER_COUNTS {
         let pool = EvalPool::new(workers);
@@ -138,6 +155,6 @@ proptest! {
             Cluster::pcie_25g(machines, gpus),
             GcAlgorithm::randomk_1pct(),
         );
-        assert_invariant_across_pools(&job);
+        assert_invariant_across_pools(&Espresso::new(job));
     }
 }

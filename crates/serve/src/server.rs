@@ -90,7 +90,7 @@ struct Shared {
     /// Selection-artifact cache shared across requests: where the body
     /// cache only hits on byte-identical requests, warm starts reuse the
     /// expensive planner work across requests that differ only in health
-    /// (see [`espresso::warm`]). `ESPRESSO_WARM_STARTS=0` disables it.
+    /// (see [`espresso::warm`]).
     warm: WarmStartCache,
     metrics: Metrics,
     deadline: Duration,

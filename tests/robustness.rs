@@ -3,7 +3,8 @@
 //! degraded reality, and must strictly beat the stale strategy that was
 //! optimized for the healthy cluster.
 
-use espresso_repro::espresso::decision::{brute, gpu};
+use espresso_repro::espresso::decision::gpu;
+use espresso_repro::espresso::oracle;
 use espresso_repro::espresso::robust::RobustSelector;
 use espresso_repro::espresso::Espresso;
 use espresso_cluster::{Cluster, ClusterHealth};
@@ -54,7 +55,7 @@ fn robust_selection_is_within_10pct_of_brute_force_on_the_degraded_cluster() {
         &degraded.cluster,
     )];
     candidates.extend(space.gpu_compressed().into_iter().take(5));
-    let best = brute::search(&degraded, &candidates, &config, 100_000);
+    let best = oracle::search(&degraded, &candidates, &config, 100_000);
 
     let selection = RobustSelector::new(job, health).select().unwrap();
     let t_robust = Simulator::new(degraded, config).iteration_time(&selection.strategy);
