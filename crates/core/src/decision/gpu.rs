@@ -30,7 +30,7 @@ use espresso_cluster::CommPattern;
 use espresso_sim::{DeltaSim, Job, SimConfig, Simulator};
 use espresso_strategy::{CompressionOption, OptionSpace, Strategy};
 
-use super::Evaluator;
+use super::{stage, Evaluator, Stage};
 use crate::parallel::EvalPool;
 
 /// Outcome of Algorithm 1.
@@ -131,7 +131,7 @@ pub(crate) fn decide_with<'s, E: Evaluator<'s>>(
     // it cannot change the argmin.
     let mut dedup_cache: HashMap<usize, Vec<Arc<CompressionOption>>> = HashMap::new();
 
-    let remove = |eval: &E,
+    let remove = |eval: &Stage<E>,
                   strategy: &Strategy,
                   ruled_out: &mut HashSet<usize>,
                   simulations: &mut usize| {
@@ -144,55 +144,57 @@ pub(crate) fn decide_with<'s, E: Evaluator<'s>>(
         }
     };
 
-    let mut eval = E::anchor(sim, &strategy);
-    let mut best_time = eval.base_time();
-    simulations += 1;
-    let mut all_ruled: HashSet<usize> = HashSet::new();
+    let base = strategy.clone();
+    let (all_ruled, best_time) = stage::<E, _>(sim, &base, pool, candidates.len(), |mut eval| {
+        let mut best_time = eval.base_time();
+        simulations += 1;
+        let mut all_ruled: HashSet<usize> = HashSet::new();
 
-    const MAX_PASSES: usize = 4;
-    for pass in 0..MAX_PASSES {
-        let pass_start_time = best_time;
-        let order = order_for_pass(pass);
-        // Line 4: bubble analysis at the start of each pass.
-        let mut ruled_out: HashSet<usize> = HashSet::new();
-        remove(&eval, &strategy, &mut ruled_out, &mut simulations);
+        const MAX_PASSES: usize = 4;
+        for pass in 0..MAX_PASSES {
+            let pass_start_time = best_time;
+            let order = order_for_pass(pass);
+            // Line 4: bubble analysis at the start of each pass.
+            let mut ruled_out: HashSet<usize> = HashSet::new();
+            remove(&eval, &strategy, &mut ruled_out, &mut simulations);
 
-        for &idx in &order {
-            if ruled_out.contains(&idx) {
-                continue;
+            for &idx in &order {
+                if ruled_out.contains(&idx) {
+                    continue;
+                }
+                let elems = job.model.tensors[idx].elems;
+                let deduped = dedup_cache
+                    .entry(elems)
+                    .or_insert_with(|| dedup_for_size(candidates, elems, job))
+                    .clone();
+
+                // GetBestOption: try each candidate option for this tensor
+                // while holding every other tensor fixed; keep the best by
+                // F(S). The current (possibly uncompressed) option is the
+                // implicit incumbent.
+                let best_option = eval.best_swap(
+                    &strategy,
+                    idx,
+                    &deduped,
+                    true,
+                    &mut best_time,
+                    &mut simulations,
+                );
+                if let Some(opt) = best_option {
+                    strategy.set_option(idx, opt);
+                    // Line 8: compression may create new bubbles; re-rule-out.
+                    remove(&eval, &strategy, &mut ruled_out, &mut simulations);
+                    eval.rebase(&strategy, best_time);
+                }
             }
-            let elems = job.model.tensors[idx].elems;
-            let deduped = dedup_cache
-                .entry(elems)
-                .or_insert_with(|| dedup_for_size(candidates, elems, job))
-                .clone();
-
-            // GetBestOption: try each candidate option for this tensor
-            // while holding every other tensor fixed; keep the best by
-            // F(S). The current (possibly uncompressed) option is the
-            // implicit incumbent.
-            let best_option = eval.best_swap(
-                &strategy,
-                idx,
-                &deduped,
-                true,
-                pool,
-                &mut best_time,
-                &mut simulations,
-            );
-            if let Some(opt) = best_option {
-                strategy.set_option(idx, opt);
-                // Line 8: compression may create new bubbles; re-rule-out.
-                remove(&eval, &strategy, &mut ruled_out, &mut simulations);
-                eval.rebase(&strategy, best_time);
+            all_ruled.extend(ruled_out.iter().copied());
+            // Fixed point — but always give the flipped direction one try.
+            if pass >= 1 && best_time >= pass_start_time - 1e-12 {
+                break;
             }
         }
-        all_ruled.extend(ruled_out.iter().copied());
-        // Fixed point — but always give the flipped direction one try.
-        if pass >= 1 && best_time >= pass_start_time - 1e-12 {
-            break;
-        }
-    }
+        (all_ruled, best_time)
+    });
 
     let mut ruled: Vec<usize> = all_ruled.into_iter().collect();
     ruled.sort_unstable();

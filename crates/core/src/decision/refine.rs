@@ -22,7 +22,7 @@ use espresso_gc::Device;
 use espresso_sim::{DeltaSim, Simulator};
 use espresso_strategy::{CompressionOption, Strategy};
 
-use super::Evaluator;
+use super::{stage, Evaluator};
 use crate::parallel::EvalPool;
 
 /// Outcome of the backfill pass.
@@ -79,29 +79,30 @@ pub(crate) fn cpu_backfill_with<'s, E: Evaluator<'s>>(
     });
 
     let mut strategy = base.clone();
-    let mut eval = E::anchor(sim, &strategy);
-    let mut best_time = eval.base_time();
     let mut simulations = 1usize;
     let mut backfilled = Vec::new();
-    for &idx in &order {
-        if strategy.option(idx).compresses() {
-            continue;
+    let best_time = stage::<E, _>(sim, base, pool, cpu.len(), |mut eval| {
+        let mut best_time = eval.base_time();
+        for &idx in &order {
+            if strategy.option(idx).compresses() {
+                continue;
+            }
+            let best_option = eval.best_swap(
+                &strategy,
+                idx,
+                &cpu,
+                false,
+                &mut best_time,
+                &mut simulations,
+            );
+            if let Some(opt) = best_option {
+                strategy.set_option(idx, opt);
+                backfilled.push(idx);
+                eval.rebase(&strategy, best_time);
+            }
         }
-        let best_option = eval.best_swap(
-            &strategy,
-            idx,
-            &cpu,
-            false,
-            pool,
-            &mut best_time,
-            &mut simulations,
-        );
-        if let Some(opt) = best_option {
-            strategy.set_option(idx, opt);
-            backfilled.push(idx);
-            eval.rebase(&strategy, best_time);
-        }
-    }
+        best_time
+    });
     RefineDecision {
         strategy,
         iteration_time: best_time,

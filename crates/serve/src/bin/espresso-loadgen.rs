@@ -66,6 +66,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use espresso::service::DecisionRequest;
+use espresso::EvalPool;
 use espresso_cluster::ClusterHealth;
 use espresso_json::Json;
 use espresso_serve::client::Connection;
@@ -1177,13 +1178,11 @@ fn fleet_bench(opts: &Options) -> Result<(), String> {
             .find(|(k, _)| k == key)
             .map_or(0.0, |(_, v)| *v)
     };
-    // The planner-thread count the child server ran with (it inherits
-    // this process's environment), recorded so bench deltas are
-    // attributable to the planner configuration that produced them.
-    let planner_threads = std::env::var("ESPRESSO_PLANNER_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(1);
+    // The planner width the child server ran with (it inherits this
+    // process's environment and resolves it the same way), recorded so
+    // bench deltas are attributable to the planner configuration that
+    // produced them.
+    let planner_threads = EvalPool::from_env().workers();
     println!(
         "fleet: {} replans committed ({} planner thread(s)) | delta→decision \
          p50 {:.2} ms p95 {:.2} ms p99 {:.2} ms | \

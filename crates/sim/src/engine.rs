@@ -34,7 +34,8 @@
 //!   detected automatically from the block ids.
 //! * `F(S)` memoization ([`Simulator::iteration_time_memo`]) — exact
 //!   keying by the candidate's block-id sequence, so re-encounters of a
-//!   strategy (multi-pass sweeps, odometer overlap) cost a hash lookup.
+//!   whole strategy (odometer overlap, re-anchored bases) cost a hash
+//!   lookup. Single-swap trials ([`DeltaSim::eval_swap`]) skip it.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -1023,7 +1024,6 @@ impl Simulator {
         cache.ids = ids;
         PreparedEval {
             plan,
-            resume: None,
             faults: faults.cloned(),
             forward_time: self.job.model.forward_time,
             config: self.config,
@@ -1149,15 +1149,7 @@ impl DeltaSim<'_> {
         drop(cache);
         // Completion max of the base's own future at this boundary: the
         // resync early-exit returns it as the tail's exact contribution.
-        let future_max = {
-            let base_spans = self.base_spans.borrow();
-            cp.spans
-                .iter()
-                .zip(base_spans.iter())
-                .filter(|(s, _)| s.start.is_nan())
-                .map(|(_, full)| full.end)
-                .fold(0.0f64, f64::max)
-        };
+        let future_max = cp.future_max(&self.base_spans.borrow());
         let cp = Arc::new(cp);
         self.checkpoints.borrow_mut().insert(
             k,
@@ -1223,6 +1215,11 @@ impl DeltaSim<'_> {
     /// return `None` where `eval_bounded` would return a memoized
     /// `Some(t)` with `t >= threshold`; both mean "cannot beat
     /// `threshold`", so accept loops behave identically.
+    ///
+    /// Single-swap trials are neither looked up in nor added to the
+    /// memo: a greedy loop prices each such trial about once per
+    /// incumbent, so a memo entry (a full block-id vector) costs more
+    /// memory than the re-runs it saves.
     pub fn eval_swap(
         &self,
         idx: usize,
@@ -1258,28 +1255,19 @@ impl DeltaSim<'_> {
         if self.bound_from_diff(&diff, idx as u32).max(chain_lb) >= threshold {
             return None;
         }
-        let mut ids = std::mem::take(&mut cache.ids);
-        ids.clear();
-        ids.extend_from_slice(&self.base_ids);
-        ids[idx] = bid;
-        if let Some(&t) = cache.memo.get(&ids) {
-            cache.ids = ids;
-            return Some(t);
-        }
         drop(cache);
-        self.eval_spliced(ids, idx, base_bid, bid, threshold)
+        self.eval_spliced(idx, base_bid, bid, threshold)
     }
 
     /// Suffix re-simulation of the single-swap trial — the base with
     /// tensor `idx`'s block swapped from `old_bid` to `new_bid` — using
     /// splice-assembly against the cached base plan instead of a full
-    /// rebuild; memoizes and returns `F`.
+    /// rebuild; returns `F`.
     /// Returns `None` when the mid-run abort bound certifies
     /// `F(trial) >= threshold` before the suffix completes (same contract
     /// as the static screen in [`DeltaSim::eval_swap`]).
     fn eval_spliced(
         &self,
-        ids: Vec<u32>,
         idx: usize,
         old_bid: u32,
         new_bid: u32,
@@ -1298,6 +1286,8 @@ impl DeltaSim<'_> {
         );
         #[cfg(debug_assertions)]
         {
+            let mut ids = self.base_ids.clone();
+            ids[idx] = new_bid;
             let mut check = Plan::default();
             cache.assemble(&self.sim.job, &ids, &mut check);
             debug_assert!(
@@ -1379,9 +1369,6 @@ impl DeltaSim<'_> {
                     threshold
                 );
             }
-            drop(trial);
-            drop(base_plan);
-            cache.ids = ids;
             return None;
         }
         let makespan = match outcome {
@@ -1408,12 +1395,7 @@ impl DeltaSim<'_> {
                 "resync early-exit diverged from full simulation"
             );
         }
-        let t = self.sim.job.model.forward_time + makespan;
-        drop(trial);
-        drop(base_plan);
-        cache.memo.insert(ids.clone(), t);
-        cache.ids = ids;
-        Some(t)
+        Some(self.sim.job.model.forward_time + makespan)
     }
 
     /// Suffix re-simulation of the trial whose id vector is `ids`, dirty
@@ -1431,39 +1413,6 @@ impl DeltaSim<'_> {
         cache.memo.insert(ids.clone(), t);
         cache.ids = ids;
         t
-    }
-
-    /// Screens a trial for batch dispatch: the exact value when it is
-    /// already known, [`Screened::Pruned`] when the lower bound rules it
-    /// out against `threshold` (same contract as
-    /// [`DeltaSim::eval_bounded`]), or a thread-safe evaluation unit
-    /// carrying its resume checkpoint.
-    pub fn screen(&self, trial: &Strategy, threshold: f64) -> Screened {
-        let mut cache = self.sim.cache.borrow_mut();
-        cache.block_ids(&self.sim.job, &self.sim.config, trial, None);
-        let Some(k) = self.watermark(&cache.ids) else {
-            return Screened::Known(self.base_time);
-        };
-        if let Some(&t) = cache.memo.get(&cache.ids) {
-            return Screened::Known(t);
-        }
-        if self.bound(&cache, k) >= threshold {
-            return Screened::Pruned;
-        }
-        let ids = std::mem::take(&mut cache.ids);
-        drop(cache);
-        let cp = self.checkpoint(k);
-        let mut cache = self.sim.cache.borrow_mut();
-        let mut plan = Plan::default();
-        cache.assemble(&self.sim.job, &ids, &mut plan);
-        cache.ids = ids;
-        Screened::Live(PreparedEval {
-            plan,
-            resume: Some(cp),
-            faults: None,
-            forward_time: self.sim.job.model.forward_time,
-            config: self.sim.config,
-        })
     }
 
     /// The certified lower bound for the trial whose ids are in
@@ -1620,14 +1569,7 @@ impl DeltaSim<'_> {
             base_spans.clear();
             base_spans.extend_from_slice(&scratch.spans);
             for entry in checkpoints.values_mut() {
-                entry.future_max = entry
-                    .cp
-                    .spans
-                    .iter()
-                    .zip(base_spans.iter())
-                    .filter(|(s, _)| s.start.is_nan())
-                    .map(|(_, full)| full.end)
-                    .fold(0.0f64, f64::max);
+                entry.future_max = entry.cp.future_max(&base_spans);
             }
         }
         self.base_ids = new_ids;
@@ -1664,61 +1606,26 @@ impl DeltaSim<'_> {
         cache.ids = ids;
         result
     }
-
-    /// Compiles a trial into a self-contained evaluation unit carrying
-    /// its resume checkpoint, for dispatch to a worker pool.
-    pub fn prepare(&self, trial: &Strategy) -> PreparedEval {
-        let mut cache = self.sim.cache.borrow_mut();
-        cache.block_ids(&self.sim.job, &self.sim.config, trial, None);
-        let watermark = self.watermark(&cache.ids);
-        let ids = std::mem::take(&mut cache.ids);
-        drop(cache);
-        let resume = watermark.map(|k| self.checkpoint(k));
-        let mut cache = self.sim.cache.borrow_mut();
-        let mut plan = Plan::default();
-        cache.assemble(&self.sim.job, &ids, &mut plan);
-        cache.ids = ids;
-        PreparedEval {
-            plan,
-            resume,
-            faults: None,
-            forward_time: self.sim.job.model.forward_time,
-            config: self.sim.config,
-        }
-    }
-}
-
-/// Outcome of [`DeltaSim::screen`].
-///
-/// Transient return value, consumed immediately by the caller; `Live`
-/// deliberately carries the whole prepared evaluation by value so it can
-/// cross a thread boundary.
-#[allow(clippy::large_enum_variant)]
-pub enum Screened {
-    /// The certified lower bound rules out `F(trial) < threshold`.
-    Pruned,
-    /// The exact `F(trial)`, known without running (base-identical trial
-    /// or memo hit).
-    Known(f64),
-    /// Simulation required: a thread-safe unit, resume checkpoint
-    /// included.
-    Live(PreparedEval),
 }
 
 /// A self-contained, thread-safe candidate evaluation: an assembled plan
-/// plus (optionally) the checkpoint to resume from and the fault plan to
-/// price. Running it requires only a per-worker [`EvalScratch`], so a
-/// batch of prepared evaluations can be fanned out across threads and
-/// merged by index with bit-deterministic results.
+/// plus (optionally) the fault plan to price. Running it requires only a
+/// per-worker [`EvalScratch`], so a batch of prepared evaluations can be
+/// fanned out across threads and merged by index with bit-deterministic
+/// results.
 pub struct PreparedEval {
     plan: Plan,
-    resume: Option<Arc<Checkpoint>>,
     faults: Option<FaultPlan>,
     forward_time: f64,
     config: SimConfig,
 }
 
 impl PreparedEval {
+    /// Tasks in the assembled plan — the unit's simulation work.
+    pub fn tasks(&self) -> usize {
+        self.plan.len()
+    }
+
     /// Evaluates `F(S)` — a pure function of the prepared state.
     pub fn run(&self, scratch: &mut EvalScratch) -> f64 {
         run_plan(
@@ -1726,7 +1633,7 @@ impl PreparedEval {
             &self.config,
             self.faults.as_ref(),
             scratch,
-            self.resume.as_deref(),
+            None,
             None,
             None,
             None,
@@ -1765,6 +1672,19 @@ pub struct Checkpoint {
     busy: [usize; 4],
     spans: Vec<Span>,
     indegree: Vec<u32>,
+}
+
+impl Checkpoint {
+    /// Max span end, in the base run's complete timeline `base_spans`,
+    /// among the tasks not yet started at the snapshot.
+    fn future_max(&self, base_spans: &[Span]) -> f64 {
+        self.spans
+            .iter()
+            .zip(base_spans)
+            .filter(|(s, _)| s.start.is_nan())
+            .map(|(_, full)| full.end)
+            .fold(0.0f64, f64::max)
+    }
 }
 
 /// Reusable evaluation buffers: indegrees, spans, event heap, and FIFO
@@ -2308,20 +2228,6 @@ mod tests {
         assert_eq!(
             prepared.run(&mut scratch).to_bits(),
             sim.iteration_time(&s).to_bits()
-        );
-        // Delta-prepared units carry their checkpoint with them.
-        let base = Strategy::uncompressed(
-            j.num_tensors(),
-            CommPattern::Hierarchical,
-            &j.cluster,
-        );
-        let delta = sim.delta(&base);
-        let mut trial = base.clone();
-        trial.set_option(3, space.gpu_compressed()[1].clone());
-        let unit = delta.prepare(&trial);
-        assert_eq!(
-            unit.run(&mut scratch).to_bits(),
-            sim.iteration_time(&trial).to_bits()
         );
     }
 }

@@ -42,8 +42,7 @@ pub mod task;
 pub use audit::{audit, audit_tasks, Violation};
 pub use config::SimConfig;
 pub use engine::{
-    simulate, simulate_with_faults, Checkpoint, DeltaSim, EvalScratch, PreparedEval, Screened,
-    Simulator,
+    simulate, simulate_with_faults, Checkpoint, DeltaSim, EvalScratch, PreparedEval, Simulator,
 };
 pub use fault::{Burst, FaultError, FaultPlan, LinkFault};
 pub use job::Job;
