@@ -19,6 +19,11 @@ step "test" cargo test -q --workspace
 
 step "clippy (-D warnings)" cargo clippy --workspace --all-targets -- -D warnings
 
+# The repository benchmark is a workspace of its own that builds these
+# crates through path dependencies: build it and run its tests so a
+# change to the API it calls fails here, not in the benchmark.
+step "perfbench" cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Verification layer: oracle sweep (200 sampled jobs, incl. degraded and
 # faulted), timeline invariant audit over the fault corpus, golden-trace
 # byte diff, and serve-path equivalence. Prints its own per-step timing;
@@ -70,12 +75,12 @@ decide_gate() {
 step "decide" decide_gate
 
 # Multi-core planner path: the kill -9 fleet gate and the decide
-# differential sweep (including its warm-vs-cold cross-request cases)
-# again with ESPRESSO_PLANNER_THREADS=4, wider than a small CI host's
-# default (its core count). The sweep diffs the fast planner at width 1
-# and at width 4 against the serial reference on every case, and the
-# fleet replan workers share the server's four planner threads — byte
-# identity must hold at any width. The batched-replanning throughput
+# differential sweep (including its Planner-memo-vs-cold cross-request
+# cases) again with ESPRESSO_PLANNER_THREADS=4, wider than a small CI
+# host's default (its core count). The sweep diffs the fast planner at
+# width 1 and at width 4 against the serial reference on every case, and
+# the fleet replan workers share the server's four planner threads —
+# byte identity must hold at any width. The batched-replanning throughput
 # gate itself (≥3x shared-spec, ≤5% unique-spec regression) runs inside
 # the "fleet bench" step above.
 planner_threads_gate() {

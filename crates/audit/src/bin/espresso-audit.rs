@@ -206,7 +206,7 @@ fn decide_step(args: &Args) -> bool {
         println!("   divergence reproduction:\n{}", repro.render());
     }
     println!(
-        "   warm-start sweep: {} base requests, {} cache hits / {} misses, {} warm-vs-cold divergences",
+        "   warm-start sweep: {} base requests, {} memo hits / {} misses, {} warm-vs-cold divergences",
         report.warm.cases,
         report.warm.hits,
         report.warm.misses,

@@ -23,22 +23,20 @@
 //! run through the timeline invariant auditor: a fast path that agreed
 //! with a *wrong* reference would still be caught by physics.
 //!
-//! The sweep's second half ([`warm_sweep`]) holds the serving layer's
-//! cross-request warm-start cache to the same bar: every
-//! [`decide_with_warm`] answer — populating pass, replaying pass, and
-//! the health-shifted sibling whose robust selection reuses another
-//! request's nominal entry — must be byte-identical to a cold
-//! [`decide`] of the same request.
+//! The sweep's second half ([`warm_sweep`]) holds the [`Planner`] memo
+//! to the same bar: every memoized answer — populating pass, replaying
+//! pass, and the health-shifted sibling whose robust selection starts
+//! from another request's nominal entry — must be byte-identical to a
+//! Planner-free decision of the same request (`cold_decision`).
 
-use espresso::config::{GcConfig, ModelConfig, SystemConfig};
+use espresso::config::{build_job, GcConfig, ModelConfig, SystemConfig};
 use espresso::robust::{RobustSelection, RobustSelector};
-use espresso::service::{decide, decide_with_warm, DecisionRequest};
-use espresso::warm::WarmStartCache;
-use espresso::{Espresso, EvalPool, PlannerMode, Report};
+use espresso::service::{Decision, DecisionRequest};
+use espresso::{Espresso, EspressoError, EvalPool, Planner, PlannerMode, Report};
 use espresso_cluster::{ClusterHealth, IntraFabric};
 use espresso_gc::GcAlgorithm;
 use espresso_json::{Json, ToJson};
-use espresso_sim::{SimConfig, SimResult, Simulator};
+use espresso_sim::{FaultPlan, SimConfig, SimResult, Simulator};
 
 use crate::jobs::{sample, AuditCase, Scenario};
 
@@ -91,10 +89,9 @@ impl CaseResult {
 pub struct WarmReport {
     /// Base requests swept (each expands into several variants).
     pub cases: usize,
-    /// Cache hits observed across the sweep — must be nonzero, or the
-    /// "cross-request reuse" claim was never actually exercised.
+    /// Memo hits observed across the sweep.
     pub hits: u64,
-    /// Cache misses observed across the sweep.
+    /// Memo misses observed across the sweep.
     pub misses: u64,
     /// Human-readable descriptions of every warm-vs-cold divergence.
     pub mismatches: Vec<String>,
@@ -403,7 +400,7 @@ fn diff_robust_paths(selector: &RobustSelector, pool: &EvalPool, out: &mut Vec<S
 /// [`DecisionRequest`] names zoo models. So the warm sweep has its own
 /// corpus in the service layer's vocabulary: named models crossed with
 /// the paper's algorithm suite, both fabrics, varied scale, and the
-/// robust/fault triggers that route through every [`WarmStartCache`]
+/// robust/fault triggers that route through every [`Planner`] memo
 /// entry kind.
 pub fn warm_corpus(seed: u64) -> DecisionRequest {
     // Cheapest-first (10-tensor LSTM up to 314-tensor ResNet101), so a
@@ -436,18 +433,61 @@ pub fn warm_corpus(seed: u64) -> DecisionRequest {
     req
 }
 
+/// The oracle of the warm sweep: `req` decided from the selectors
+/// themselves — [`Espresso::select_strategy`] for the nominal selection,
+/// [`RobustSelector::select`] (which plans its own nominal candidate)
+/// for the robust one — without going through a [`Planner`].
+///
+/// # Errors
+///
+/// As [`espresso::decide`].
+fn cold_decision(req: &DecisionRequest) -> Result<Decision, EspressoError> {
+    let job = build_job(&req.model, &req.gc, &req.system, None)?;
+    let fault_plan = req
+        .faults
+        .as_deref()
+        .map(|spec| {
+            FaultPlan::parse(spec, job.cluster.total_gpus())
+                .map_err(|e| EspressoError::Fault { message: e.message })
+        })
+        .transpose()?;
+    let (strategy, report) = Espresso::new(job.clone()).select_strategy();
+    let faulted_iteration_time = fault_plan.as_ref().map(|plan| {
+        Simulator::new(job.clone(), SimConfig::default())
+            .iteration_time_with_faults(&strategy, plan)
+    });
+    let robust = if req.robust || !req.health.is_nominal() {
+        let mut selector = RobustSelector::new(job.clone(), req.health);
+        if let Some(plan) = fault_plan.clone() {
+            selector = selector.with_faults(plan);
+        }
+        Some(selector.select()?)
+    } else {
+        None
+    };
+    Ok(Decision {
+        job,
+        strategy,
+        report,
+        fault_plan,
+        faulted_iteration_time,
+        robust,
+    })
+}
+
 /// The warm-start cross-request differential sweep.
 ///
-/// For every base request and its health-shifted sibling, the cold
-/// [`decide`] answer is the oracle; [`decide_with_warm`] must reproduce
-/// it byte for byte both on the populating pass (cache cold for that
-/// key) and the replaying pass (cache hot). One cache is shared across
-/// the whole sweep — the claim under test is *cross-request* reuse:
-/// the sibling's robust selection must start from the nominal entry its
-/// base request populated, which is exactly the reuse the fleet's
-/// batched re-planning leans on when a health delta sweeps a spec group.
+/// For every base request and its health-shifted sibling, the
+/// Planner-free `cold_decision` is the oracle; [`Planner::decide`]
+/// must reproduce it byte for byte both on the populating pass (memo
+/// cold for that request) and the replaying pass (memo hot). One
+/// planner is shared across the whole sweep — the claim under test is
+/// *cross-request* reuse: the sibling's populating pass must hit the
+/// nominal entry its base request stored and seed its robust selection
+/// from it, which is exactly the reuse the fleet's batched re-planning
+/// leans on when a health delta sweeps a spec group.
 pub fn warm_sweep(cases: usize) -> WarmReport {
-    let warm = WarmStartCache::new(256, 4);
+    let planner = Planner::with_capacity(256);
     let mut mismatches = Vec::new();
     for seed in 0..cases as u64 {
         let base = warm_corpus(seed);
@@ -458,7 +498,7 @@ pub fn warm_sweep(cases: usize) -> WarmReport {
         sibling.health = ClusterHealth::inter_degraded(1.5 + (seed % 3) as f64 * 0.5);
 
         for (label, req) in [("base", &base), ("sibling", &sibling)] {
-            let cold = match decide(req) {
+            let cold = match cold_decision(req) {
                 Ok(d) => Json::encode(&d.response()),
                 Err(e) => {
                     mismatches.push(format!("seed {seed} {label}: cold decide failed: {e}"));
@@ -466,7 +506,8 @@ pub fn warm_sweep(cases: usize) -> WarmReport {
                 }
             };
             for pass in ["populate", "replay"] {
-                match decide_with_warm(req, &warm) {
+                let hits = planner.stats().hits;
+                match planner.decide(req) {
                     Ok(d) => {
                         let got = Json::encode(&d.response());
                         if got != cold {
@@ -480,18 +521,25 @@ pub fn warm_sweep(cases: usize) -> WarmReport {
                         "seed {seed} {label} ({pass}): warm decide failed: {e}"
                     )),
                 }
+                // The sibling's first decide misses only its robust
+                // entry: the decision's nominal lookup and the robust
+                // selector's stale candidate both come from the base's
+                // nominal entry.
+                if (label, pass) == ("sibling", "populate") && planner.stats().hits != hits + 2 {
+                    mismatches.push(format!(
+                        "seed {seed} sibling (populate): expected the decision and its robust \
+                         path to hit the base's nominal entry (2 hits), saw {}",
+                        planner.stats().hits - hits
+                    ));
+                }
             }
         }
     }
-    if cases > 0 && warm.hits() == 0 {
-        mismatches.push(
-            "warm sweep never hit the cache — cross-request reuse was not exercised".to_string(),
-        );
-    }
+    let memo = planner.stats();
     WarmReport {
         cases,
-        hits: warm.hits(),
-        misses: warm.misses(),
+        hits: memo.hits,
+        misses: memo.misses,
         mismatches,
     }
 }

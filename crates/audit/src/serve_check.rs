@@ -3,7 +3,8 @@
 //! Boots an in-process decision server and verifies the caching layer
 //! can never change an answer: the same `DecisionRequest` must produce
 //! byte-identical bodies whether it is computed fresh, answered from
-//! the cache, or forcibly recomputed with `Cache-Control: no-cache` —
+//! the cache, or forcibly recomputed with `Cache-Control: no-cache` (a
+//! cold re-plan: the server memoizes bodies, never selections) —
 //! even after the server has computed decisions for a *degraded* health
 //! state in between (perturb-then-restore). The test-suite twin of this
 //! check lives in `crates/serve/tests/equivalence.rs`; this one runs in

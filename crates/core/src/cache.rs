@@ -1,22 +1,18 @@
-//! A sharded LRU cache for decision responses.
+//! A sharded LRU map: the one bounded, thread-shared cache in the
+//! workspace.
 //!
-//! Decisions are pure functions of the request, so the service caches the
-//! *rendered response body* keyed by a 64-bit FNV-1a hash of the request's
-//! canonical JSON (see `DecisionRequest::canonical_key` — key order and
-//! omitted defaults never split a cache line, while any semantic change,
-//! including a different `ClusterHealth`, lands on a different key). The
-//! cache is split into independently locked shards so concurrent workers
+//! The decision server keeps rendered response bodies in one, keyed by a
+//! 64-bit FNV-1a hash of the request's canonical JSON (the default
+//! `u64` → `Arc<Vec<u8>>` instantiation); the [`crate::Planner`] keeps
+//! completed selections in one, keyed by their full input text. The map
+//! is split into independently locked shards so concurrent workers
 //! rarely contend; eviction within a shard is exact least-recently-used.
 
+use std::borrow::Borrow;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-
-/// 64-bit FNV-1a: a stable, dependency-free hash for cache keys. Unlike
-/// `DefaultHasher` it is identical across processes and releases, so keys
-/// can be logged, compared, and tested deterministically. The
-/// implementation lives in `espresso-json` (the checkpoint layer shares
-/// it); re-exported here so existing users keep their import path.
-pub use espresso_json::fnv1a64;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Aggregated counters across all shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -43,59 +39,80 @@ impl CacheStats {
     }
 }
 
-struct Entry {
-    value: Arc<Vec<u8>>,
+#[derive(Debug)]
+struct Entry<V> {
+    value: V,
     last_used: u64,
 }
 
-#[derive(Default)]
-struct Shard {
-    entries: HashMap<u64, Entry>,
+#[derive(Debug)]
+struct Shard<K, V> {
+    entries: HashMap<K, Entry<V>>,
     tick: u64,
     hits: u64,
     misses: u64,
     evictions: u64,
 }
 
-/// The sharded LRU cache.
-pub struct ShardedLru {
-    shards: Vec<Mutex<Shard>>,
+impl<K, V> Default for Shard<K, V> {
+    fn default() -> Self {
+        Self {
+            entries: HashMap::new(),
+            tick: 0,
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+        }
+    }
+}
+
+/// The sharded LRU map. Lookups return a clone of the stored value, so
+/// values are cheap handles (`Arc`s or small enums of them).
+#[derive(Debug)]
+pub struct ShardedLru<K = u64, V = Arc<Vec<u8>>> {
+    shards: Vec<Mutex<Shard<K, V>>>,
     per_shard_capacity: usize,
 }
 
-impl ShardedLru {
-    /// A cache holding about `capacity` entries across `shards` shards
-    /// (both clamped to at least 1).
+impl<K: Hash + Eq, V: Clone> ShardedLru<K, V> {
+    /// A map holding about `capacity` entries across `shards` shards.
+    /// Capacity is clamped to at least 1 and the shard count to
+    /// `1..=capacity`, so every shard holds at least one entry and a
+    /// tiny map never holds more than asked.
     pub fn new(capacity: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let per_shard_capacity = (capacity.max(1)).div_ceil(shards);
+        let capacity = capacity.max(1);
+        let shards = shards.clamp(1, capacity);
         Self {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            per_shard_capacity,
+            per_shard_capacity: capacity.div_ceil(shards),
         }
     }
 
-    /// Which shard a key lives in.
-    pub fn shard_of(&self, key: u64) -> usize {
-        // The multiplicative mix spreads keys whose low bits correlate
-        // (FNV's avalanche on short inputs is imperfect).
-        (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize % self.shards.len()
+    /// Which shard a key lives in. The key's hash comes from the
+    /// fixed-key `DefaultHasher`, so placement is stable within a build.
+    fn shard_of(&self, key: &K) -> usize {
+        let mut hasher = DefaultHasher::new();
+        key.hash(&mut hasher);
+        (hasher.finish() % self.shards.len() as u64) as usize
     }
 
-    fn shard(&self, key: u64) -> std::sync::MutexGuard<'_, Shard> {
-        let idx = self.shard_of(key);
-        self.shards[idx].lock().unwrap_or_else(|e| e.into_inner())
+    fn shard(&self, key: &K) -> MutexGuard<'_, Shard<K, V>> {
+        self.shards[self.shard_of(key)]
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Looks up `key`, bumping its recency on a hit.
-    pub fn get(&self, key: u64) -> Option<Arc<Vec<u8>>> {
+    /// Looks up `key` (by value or by reference), bumping its recency on
+    /// a hit.
+    pub fn get<Q: Borrow<K>>(&self, key: Q) -> Option<V> {
+        let key = key.borrow();
         let mut shard = self.shard(key);
         shard.tick += 1;
         let tick = shard.tick;
-        match shard.entries.get_mut(&key) {
+        match shard.entries.get_mut(key) {
             Some(entry) => {
                 entry.last_used = tick;
-                let value = Arc::clone(&entry.value);
+                let value = entry.value.clone();
                 shard.hits += 1;
                 Some(value)
             }
@@ -108,9 +125,9 @@ impl ShardedLru {
 
     /// Inserts (or refreshes) `key`, evicting the shard's least recently
     /// used entry if it is full.
-    pub fn insert(&self, key: u64, value: Arc<Vec<u8>>) {
+    pub fn insert(&self, key: K, value: V) {
         let capacity = self.per_shard_capacity;
-        let mut shard = self.shard(key);
+        let mut shard = self.shard(&key);
         shard.tick += 1;
         let tick = shard.tick;
         if let Some(entry) = shard.entries.get_mut(&key) {
@@ -121,14 +138,10 @@ impl ShardedLru {
         if shard.entries.len() >= capacity {
             // Exact LRU via a full scan: shards are small (capacity /
             // shard count), so this stays cheap and needs no intrusive
-            // list.
-            if let Some(&lru) = shard
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k)
-            {
-                shard.entries.remove(&lru);
+            // list. Ticks are unique within a shard, so the oldest tick
+            // names exactly one entry.
+            if let Some(oldest) = shard.entries.values().map(|e| e.last_used).min() {
+                shard.entries.retain(|_, e| e.last_used != oldest);
                 shard.evictions += 1;
             }
         }
@@ -158,6 +171,7 @@ impl ShardedLru {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use espresso_json::fnv1a64;
 
     fn val(s: &str) -> Arc<Vec<u8>> {
         Arc::new(s.as_bytes().to_vec())
@@ -166,7 +180,7 @@ mod tests {
     #[test]
     fn eviction_follows_recency_order() {
         // Single shard so the whole capacity is one LRU domain.
-        let cache = ShardedLru::new(3, 1);
+        let cache: ShardedLru = ShardedLru::new(3, 1);
         cache.insert(1, val("a"));
         cache.insert(2, val("b"));
         cache.insert(3, val("c"));
@@ -177,16 +191,30 @@ mod tests {
         assert!(cache.get(1).is_some());
         assert!(cache.get(3).is_some());
         assert!(cache.get(4).is_some());
-        // Next eviction removes 1? No: recency is now 2 < 3 < 4 ... with 1
-        // touched before 3; inserting 5 must evict 1 (oldest touch).
+        // Recency is now 1 < 3 < 4 (1 was touched before 3 and 4), so
+        // inserting 5 must evict 1.
         cache.insert(5, val("e"));
         assert!(cache.get(1).is_none(), "1 was LRU after the later touches");
         assert_eq!(cache.stats().evictions, 2);
+
+        // More shards than capacity: the shard count is clamped, so the
+        // map still holds only what was asked for.
+        let tiny: ShardedLru = ShardedLru::new(2, 4);
+        for key in 0..16 {
+            tiny.insert(key, val("x"));
+        }
+        let stats = tiny.stats();
+        assert!(
+            stats.entries <= 2,
+            "capacity 2 held {} entries",
+            stats.entries
+        );
+        assert_eq!(stats.entries as u64 + stats.evictions, 16);
     }
 
     #[test]
     fn reinserting_refreshes_instead_of_evicting() {
-        let cache = ShardedLru::new(2, 1);
+        let cache: ShardedLru = ShardedLru::new(2, 1);
         cache.insert(1, val("a"));
         cache.insert(2, val("b"));
         cache.insert(1, val("a2"));
@@ -197,7 +225,7 @@ mod tests {
 
     #[test]
     fn hit_and_miss_accounting() {
-        let cache = ShardedLru::new(8, 2);
+        let cache: ShardedLru = ShardedLru::new(8, 2);
         assert!(cache.get(7).is_none());
         cache.insert(7, val("x"));
         assert!(cache.get(7).is_some());
@@ -211,24 +239,15 @@ mod tests {
 
     #[test]
     fn keys_spread_across_shards() {
-        let cache = ShardedLru::new(1024, 8);
+        let cache: ShardedLru = ShardedLru::new(1024, 8);
         let mut per_shard = [0usize; 8];
         for i in 0..1000 {
             let key = fnv1a64(format!("request-{i}").as_bytes());
-            per_shard[cache.shard_of(key)] += 1;
+            per_shard[cache.shard_of(&key)] += 1;
         }
         for (i, count) in per_shard.iter().enumerate() {
             assert!(*count > 0, "shard {i} never used");
             assert!(*count < 500, "shard {i} got {count} of 1000 keys");
         }
-    }
-
-    #[test]
-    fn fnv_is_stable_and_input_sensitive() {
-        // Pinned value: the key must never change across releases, or
-        // every deployed cache would silently cold-start.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv1a64(b"a"), fnv1a64(b"b"));
-        assert_ne!(fnv1a64(b"ab"), fnv1a64(b"ba"));
     }
 }

@@ -21,9 +21,14 @@
 //!   near-optimal [`Strategy`] out, with timing telemetry,
 //! * [`service`] — the [`DecisionRequest`] → [`Decision`] API shared by
 //!   `espresso-cli` and the `espresso-serve` HTTP service, so the two
-//!   front-ends cannot drift.
+//!   front-ends cannot drift,
+//! * [`planner`] — the [`Planner`]: the one body of a decide and of an
+//!   online re-plan, over a memo of completed selections,
+//! * [`cache`] — [`ShardedLru`], the bounded thread-shared map under the
+//!   planner memo and the server's response cache.
 
 pub mod baselines;
+pub mod cache;
 pub mod census;
 pub mod config;
 pub mod decision;
@@ -31,25 +36,25 @@ pub mod error;
 pub mod espresso;
 pub mod oracle;
 pub mod parallel;
+pub mod planner;
 pub mod robust;
 pub mod service;
 pub mod upper_bound;
-pub mod warm;
 
 pub use baselines::Baseline;
+pub use cache::{CacheStats, ShardedLru};
 pub use census::Census;
 pub use config::{FileConfig, GcConfig, ModelConfig, SystemConfig};
 pub use error::EspressoError;
 pub use espresso::{Espresso, PlannerMode, Report};
 pub use parallel::{BoundedQueue, EvalPool};
 pub use espresso_strategy::Strategy;
+pub use planner::{replan_with_context, Planner, ReplanContext};
 pub use robust::{
-    replan, replan_priority, replan_with_context, DegradationMonitor, NoiseEnvelope, Replan,
-    ReplanContext, RobustSelection, RobustSelector,
+    replan_priority, DegradationMonitor, NoiseEnvelope, Replan, RobustSelection, RobustSelector,
 };
-pub use service::{decide, decide_with_warm, Decision, DecisionRequest, DecisionResponse};
+pub use service::{decide, Decision, DecisionRequest, DecisionResponse};
 pub use upper_bound::upper_bound_time;
-pub use warm::WarmStartCache;
 
 /// Convenient re-exports of the crate's primary types.
 pub mod prelude {
@@ -62,12 +67,12 @@ pub mod prelude {
         espresso::{Espresso, PlannerMode, Report},
         parallel::{BoundedQueue, EvalPool},
         oracle,
+        planner::Planner,
         robust::{
-            replan, replan_priority, DegradationMonitor, NoiseEnvelope, Replan, RobustSelection,
+            replan_priority, DegradationMonitor, NoiseEnvelope, Replan, RobustSelection,
             RobustSelector,
         },
-        service::{decide, decide_with_warm, Decision, DecisionRequest, DecisionResponse},
+        service::{decide, Decision, DecisionRequest, DecisionResponse},
         upper_bound::upper_bound_time,
-        warm::WarmStartCache,
     };
 }

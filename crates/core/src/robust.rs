@@ -30,7 +30,6 @@ use crate::baselines::{self, Baseline};
 use crate::error::EspressoError;
 use crate::espresso::{Espresso, PlannerMode};
 use crate::parallel::EvalPool;
-use crate::warm::WarmStartCache;
 
 /// How far the empirical model may be off, and how many perturbed
 /// scenarios to draw from that envelope.
@@ -235,6 +234,24 @@ impl RobustSelector {
         mode: PlannerMode,
         pool: &EvalPool,
     ) -> Result<RobustSelection, EspressoError> {
+        self.select_seeded(None, mode, pool)
+    }
+
+    /// As [`RobustSelector::select`], with the job's nominal selection
+    /// already in hand: `stale` becomes the `"nominal-espresso"`
+    /// candidate instead of being planned again. `stale` must be the
+    /// fast-path selection of this selector's job under its simulator
+    /// configuration, or the result is not [`RobustSelector::select`]'s.
+    pub(crate) fn select_from(&self, stale: Strategy) -> Result<RobustSelection, EspressoError> {
+        self.select_seeded(Some(stale), PlannerMode::Fast, &EvalPool::from_env())
+    }
+
+    fn select_seeded(
+        &self,
+        stale: Option<Strategy>,
+        mode: PlannerMode,
+        pool: &EvalPool,
+    ) -> Result<RobustSelection, EspressoError> {
         self.envelope.validate()?;
         if let Some(plan) = &self.faults {
             plan.validate()
@@ -254,9 +271,12 @@ impl RobustSelector {
             .collect();
 
         let mut candidates: Vec<(String, Strategy)> = Vec::new();
-        let (stale, _) = Espresso::new(self.job.clone())
-            .with_config(self.config)
-            .select_strategy_with(mode, pool);
+        let stale = stale.unwrap_or_else(|| {
+            Espresso::new(self.job.clone())
+                .with_config(self.config)
+                .select_strategy_with(mode, pool)
+                .0
+        });
         candidates.push(("nominal-espresso".into(), stale));
         let (mean_degraded, _) = Espresso::new(degraded_job)
             .with_config(self.config)
@@ -489,7 +509,7 @@ impl DegradationMonitor {
     }
 }
 
-/// The outcome of an online re-plan (see [`replan`]).
+/// The outcome of an online re-plan (see [`crate::Planner::replan`]).
 #[derive(Debug, Clone)]
 pub struct Replan {
     /// The strategy to continue training with.
@@ -503,125 +523,6 @@ pub struct Replan {
     /// Whether the re-planned strategy differs from the one previously in
     /// force.
     pub changed: bool,
-}
-
-/// Re-selects the compression strategy online, against the cluster that
-/// currently exists: `job` must already describe the *surviving* topology
-/// (e.g. via [`espresso_cluster::Membership::effective_cluster`] mapped
-/// back to a template without health applied — health is passed here).
-///
-/// On a nominal-health cluster this is the plain Espresso decision
-/// (section 4.4) — cheap and exactly what the offline planner would have
-/// chosen for this topology. Under degraded health it runs the full
-/// [`RobustSelector`] ensemble, so the re-planned strategy is hedged
-/// against the same measurement drift that likely caused the trip.
-///
-/// `current` is the strategy in force before the event; `changed` reports
-/// whether the re-plan actually picked something different.
-///
-/// # Errors
-///
-/// As [`RobustSelector::select`].
-pub fn replan(
-    job: &Job,
-    health: &ClusterHealth,
-    current: &Strategy,
-) -> Result<Replan, EspressoError> {
-    let (strategy, predicted_time, chosen) = if health.is_nominal() {
-        let (strategy, report) = Espresso::new(job.clone()).select_strategy();
-        (strategy, report.iteration_time, "espresso".to_string())
-    } else {
-        let selection = RobustSelector::new(job.clone(), *health).select()?;
-        (selection.strategy, selection.mean_time, selection.chosen)
-    };
-    let changed = strategy != *current;
-    Ok(Replan {
-        strategy,
-        predicted_time,
-        chosen,
-        changed,
-    })
-}
-
-/// Warm state carried between online re-plans of the same training run:
-/// a single-owner wrapper over [`crate::warm::WarmStartCache`] (see the
-/// `warm` module docs for the replay argument). Fleet health commonly
-/// flaps between a small set of states (nominal ↔ one link degraded), so
-/// the table stays tiny; it is bounded anyway, evicting the oldest entry
-/// first.
-///
-/// Only the selection is replayed; `changed` is recomputed against the
-/// *current* strategy of the caller, which moves between re-plans.
-#[derive(Debug)]
-pub struct ReplanContext {
-    warm: WarmStartCache,
-}
-
-impl Default for ReplanContext {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ReplanContext {
-    /// Most distinct selections retained.
-    const CAPACITY: usize = 32;
-
-    /// An empty context (first plan will be cold).
-    pub fn new() -> Self {
-        Self {
-            warm: WarmStartCache::new(Self::CAPACITY, 1),
-        }
-    }
-}
-
-/// As [`replan`], seeded by `ctx`: the nominal or robust selection
-/// backing the re-plan is replayed from `ctx` when its `(job, health)`
-/// inputs match a previously completed decision, and stored back after a
-/// cold plan — byte-identical either way, the planner being a pure
-/// function of the cached key's inputs. `changed` is always recomputed
-/// against `current`.
-///
-/// # Errors
-///
-/// As [`RobustSelector::select`].
-pub fn replan_with_context(
-    ctx: &mut ReplanContext,
-    job: &Job,
-    health: &ClusterHealth,
-    current: &Strategy,
-) -> Result<Replan, EspressoError> {
-    let warm = &ctx.warm;
-    let (strategy, predicted_time, chosen) = if health.is_nominal() {
-        let key = WarmStartCache::nominal_key(job);
-        match warm.get_nominal(&key) {
-            Some(sel) => (sel.0.clone(), sel.1.iteration_time, "espresso".to_string()),
-            None => {
-                let sel = Espresso::new(job.clone()).select_strategy();
-                let out = (sel.0.clone(), sel.1.iteration_time, "espresso".to_string());
-                warm.insert_nominal(key, sel);
-                out
-            }
-        }
-    } else {
-        let key = WarmStartCache::robust_key(job, health, None);
-        match warm.get_robust(&key) {
-            Some(sel) => (sel.strategy.clone(), sel.mean_time, sel.chosen.clone()),
-            None => {
-                let sel = RobustSelector::new(job.clone(), *health).select()?;
-                let out = (sel.strategy.clone(), sel.mean_time, sel.chosen.clone());
-                warm.insert_robust(key, sel);
-                out
-            }
-        }
-    };
-    let changed = strategy != *current;
-    Ok(Replan {
-        strategy,
-        predicted_time,
-        chosen,
-        changed,
-    })
 }
 
 /// Default urgency of re-planning `job` after a cluster event, for
@@ -849,31 +750,5 @@ mod tests {
     #[should_panic(expected = "divergence must be non-negative")]
     fn restore_rejects_negative_divergence() {
         let _ = DegradationMonitor::restore(1.0, -0.1, 3);
-    }
-
-    #[test]
-    fn replan_on_nominal_health_matches_plain_espresso() {
-        let job = small_job();
-        let (expected, report) = Espresso::new(job.clone()).select_strategy();
-        let r = replan(&job, &ClusterHealth::nominal(), &expected).unwrap();
-        assert_eq!(r.strategy, expected);
-        assert!(!r.changed);
-        assert_eq!(r.chosen, "espresso");
-        assert!((r.predicted_time - report.iteration_time).abs() < 1e-12);
-    }
-
-    #[test]
-    fn replan_under_degraded_health_reports_change() {
-        let job = small_job();
-        let current = DegradationMonitor::fallback_strategy(&job);
-        // The fallback is all-FP32; any Espresso-style selection for an
-        // EFSignSGD job compresses something, so the re-plan must differ.
-        let r = replan(&job, &ClusterHealth::inter_degraded(4.0), &current).unwrap();
-        assert!(r.predicted_time > 0.0);
-        if r.strategy != current {
-            assert!(r.changed);
-        } else {
-            assert!(!r.changed);
-        }
     }
 }

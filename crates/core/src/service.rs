@@ -11,14 +11,14 @@
 
 use espresso_cluster::ClusterHealth;
 use espresso_json::{DecodeError, FromJson, Json, ToJson};
-use espresso_sim::{FaultPlan, Job, SimConfig, Simulator};
+use espresso_sim::{FaultPlan, Job};
 use espresso_strategy::Strategy;
 
 use crate::config::{build_job, FileConfig, GcConfig, ModelConfig, SystemConfig};
 use crate::error::EspressoError;
-use crate::espresso::{Espresso, Report};
-use crate::robust::{RobustSelection, RobustSelector};
-use crate::warm::WarmStartCache;
+use crate::espresso::Report;
+use crate::planner::Planner;
+use crate::robust::RobustSelection;
 
 /// One complete decision request: the three configuration sections of
 /// the paper's Figure 6 plus the robustness extras the CLI grew flags
@@ -145,117 +145,16 @@ pub struct Decision {
     pub robust: Option<RobustSelection>,
 }
 
-/// Runs one decision end to end: build the job, select the strategy,
-/// optionally replay it under faults and run the robust selector.
+/// Runs one decision end to end on a fresh [`Planner`]: build the job,
+/// select the strategy, optionally replay it under faults and run the
+/// robust selector. Every selection is planned cold, and at most once.
 ///
 /// # Errors
 ///
 /// Any [`EspressoError`] from config resolution, fault-plan parsing, or
 /// robust selection — all carrying enough context to fix the request.
 pub fn decide(req: &DecisionRequest) -> Result<Decision, EspressoError> {
-    let job = build_job(&req.model, &req.gc, &req.system, None)?;
-    let fault_plan = req
-        .faults
-        .as_deref()
-        .map(|spec| {
-            FaultPlan::parse(spec, job.cluster.total_gpus())
-                .map_err(|e| EspressoError::Fault { message: e.message })
-        })
-        .transpose()?;
-
-    let espresso = Espresso::new(job.clone());
-    let (strategy, report) = espresso.select_strategy();
-
-    let faulted_iteration_time = fault_plan.as_ref().map(|plan| {
-        Simulator::new(job.clone(), *espresso.config()).iteration_time_with_faults(&strategy, plan)
-    });
-
-    let robust = if req.robust || !req.health.is_nominal() {
-        let mut selector = RobustSelector::new(job.clone(), req.health);
-        if let Some(plan) = fault_plan.clone() {
-            selector = selector.with_faults(plan);
-        }
-        Some(selector.select()?)
-    } else {
-        None
-    };
-
-    Ok(Decision {
-        job,
-        strategy,
-        report,
-        fault_plan,
-        faulted_iteration_time,
-        robust,
-    })
-}
-
-/// As [`decide`], seeded by a shared [`WarmStartCache`]: the nominal
-/// selection and (when one runs) the robust selection are replayed from
-/// the cache on a key match and stored back after a cold plan. Everything
-/// derived from them — the fault replay, the response flattening — is
-/// computed fresh per request, so the returned [`Decision`] is
-/// byte-identical to [`decide`]'s for the same request (modulo the
-/// [`Report`] wall-clock telemetry, which is excluded from the equality
-/// contract). The `espresso-audit decide` sweep proves this bit for bit.
-///
-/// # Errors
-///
-/// As [`decide`].
-pub fn decide_with_warm(
-    req: &DecisionRequest,
-    warm: &WarmStartCache,
-) -> Result<Decision, EspressoError> {
-    let job = build_job(&req.model, &req.gc, &req.system, None)?;
-    let fault_plan = req
-        .faults
-        .as_deref()
-        .map(|spec| {
-            FaultPlan::parse(spec, job.cluster.total_gpus())
-                .map_err(|e| EspressoError::Fault { message: e.message })
-        })
-        .transpose()?;
-
-    let nominal_key = WarmStartCache::nominal_key(&job);
-    let (strategy, report) = match warm.get_nominal(&nominal_key) {
-        Some(sel) => (sel.0.clone(), sel.1.clone()),
-        None => {
-            let sel = Espresso::new(job.clone()).select_strategy();
-            warm.insert_nominal(nominal_key, sel.clone());
-            sel
-        }
-    };
-
-    let faulted_iteration_time = fault_plan.as_ref().map(|plan| {
-        Simulator::new(job.clone(), SimConfig::default()).iteration_time_with_faults(&strategy, plan)
-    });
-
-    let robust = if req.robust || !req.health.is_nominal() {
-        let robust_key = WarmStartCache::robust_key(&job, &req.health, req.faults.as_deref());
-        match warm.get_robust(&robust_key) {
-            Some(sel) => Some((*sel).clone()),
-            None => {
-                let mut selector = RobustSelector::new(job.clone(), req.health);
-                if let Some(plan) = fault_plan.clone() {
-                    selector = selector.with_faults(plan);
-                }
-                let sel = selector.select()?;
-                warm.insert_robust(robust_key, sel.clone());
-                Some(sel)
-            }
-        }
-    } else {
-        None
-    };
-
-    Ok(Decision {
-        job,
-        strategy,
-        report,
-        fault_plan,
-        faulted_iteration_time,
-        robust,
-    })
+    Planner::new().decide(req)
 }
 
 /// Summary of a robust selection, flattened for the wire.
@@ -434,6 +333,7 @@ impl FromJson for DecisionResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::espresso::Espresso;
     use espresso_cluster::IntraFabric;
     use espresso_gc::GcAlgorithm;
 
@@ -583,29 +483,6 @@ mod tests {
             model: "NoSuchNet".into(),
         };
         assert!(bad.replan_priority().is_err());
-    }
-
-    #[test]
-    fn warm_decides_match_cold_byte_for_byte() {
-        let warm = crate::warm::WarmStartCache::new(16, 2);
-        let mut req = lstm_request();
-        req.health = ClusterHealth::inter_degraded(2.0);
-        req.faults = Some("seed=7,straggler=1.5".into());
-        let cold = decide(&req).unwrap();
-        let populate = decide_with_warm(&req, &warm).unwrap();
-        let replay = decide_with_warm(&req, &warm).unwrap();
-        assert!(warm.hits() >= 2, "the second warm decide must hit");
-        let enc = |d: &Decision| Json::encode(&d.response());
-        assert_eq!(enc(&populate), enc(&cold));
-        assert_eq!(enc(&replay), enc(&cold));
-        // A near-identical request (different health) misses the robust
-        // line but still reuses the nominal selection.
-        let hits = warm.hits();
-        let mut other = req.clone();
-        other.health = ClusterHealth::inter_degraded(3.0);
-        let warm_other = decide_with_warm(&other, &warm).unwrap();
-        assert_eq!(enc(&warm_other), enc(&decide(&other).unwrap()));
-        assert!(warm.hits() > hits, "nominal selection reused across healths");
     }
 
     #[test]

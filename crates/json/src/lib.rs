@@ -803,6 +803,15 @@ mod tests {
     crate::impl_json_unit_enum!(Fabric { NvLink, Pcie });
 
     #[test]
+    fn fnv_is_stable_and_input_sensitive() {
+        // Pinned value: cache keys and checkpoint checksums must never
+        // change across releases.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_ne!(fnv1a64(b"a"), fnv1a64(b"b"));
+        assert_ne!(fnv1a64(b"ab"), fnv1a64(b"ba"));
+    }
+
+    #[test]
     fn unit_enum_macro_round_trips() {
         let v = Fabric::NvLink.to_json();
         assert_eq!(v, Json::Str("NvLink".into()));

@@ -44,13 +44,11 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use espresso::service::{decide_with_warm, DecisionRequest};
-use espresso::warm::WarmStartCache;
-use espresso::EspressoError;
+use espresso::service::DecisionRequest;
+use espresso::{EspressoError, Planner};
 use espresso_cluster::{ClusterHealth, Membership};
-use espresso_json::{enums, DecodeError, FromJson, Json, ToJson};
+use espresso_json::{enums, fnv1a64, DecodeError, FromJson, Json, ToJson};
 
-use crate::cache::{fnv1a64, ShardedLru};
 use crate::client::ConnectionPool;
 use crate::journal::{Generation, Journal, SnapshotStore};
 use crate::metrics::Histogram;
@@ -73,7 +71,9 @@ pub struct FleetConfig {
     pub queue_watermark: usize,
     /// Journal records between snapshots.
     pub snapshot_every: u64,
-    /// Planner-result cache (keyed by canonical request + health).
+    /// Capacity of the controller's [`Planner`] memo, in completed
+    /// selections (a robust re-plan holds two: its nominal and its
+    /// robust selection).
     pub plan_cache_entries: usize,
     /// Group queued re-plans by canonical `(spec, effective-health)` key
     /// and run `decide()` once per group, fanning the epoch-stamped body
@@ -511,12 +511,9 @@ struct FleetInner {
     shards: Vec<Mutex<HashMap<String, JobEntry>>>,
     queue: Mutex<ReplanState>,
     queue_cond: Condvar,
-    plan_cache: ShardedLru,
-    /// Cross-request planner warm starts, shared by every planner worker
-    /// (see `espresso::warm`). Orthogonal to `plan_cache`: the LRU stores
-    /// rendered bodies per full request, the warm cache stores selection
-    /// artifacts reusable across healths and near-identical requests.
-    warm: WarmStartCache,
+    /// Completed selections shared by every planner worker, reusable
+    /// across healths and across specs that resolve to the same job.
+    planner: Planner,
     /// Keep-alive connections for decision pushes and dead-letter
     /// re-pushes, pooled per subscriber endpoint.
     push_pool: ConnectionPool,
@@ -610,8 +607,7 @@ impl FleetController {
         }
 
         let inner = Arc::new(FleetInner {
-            plan_cache: ShardedLru::new(config.plan_cache_entries.max(2), 4),
-            warm: WarmStartCache::new(config.plan_cache_entries.max(2), 4),
+            planner: Planner::with_capacity(config.plan_cache_entries),
             push_pool: ConnectionPool::new(2),
             control: Mutex::new(Control {
                 journal,
@@ -953,6 +949,7 @@ impl FleetController {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed) as f64;
         let stats = &inner.stats;
         let jobs: usize = inner.shards.iter().map(|s| lock(s).len()).sum();
+        let memo = inner.planner.stats();
         let (clusters, seq, journal_records, journal_bytes) = {
             let control = lock(&inner.control);
             (
@@ -1041,8 +1038,8 @@ impl FleetController {
                 "fleet_push_conn_opened".into(),
                 inner.push_pool.opens() as f64,
             ),
-            ("fleet_warm_hits".into(), inner.warm.hits() as f64),
-            ("fleet_warm_misses".into(), inner.warm.misses() as f64),
+            ("fleet_warm_hits".into(), memo.hits as f64),
+            ("fleet_warm_misses".into(), memo.misses as f64),
         ]
     }
 
@@ -1234,31 +1231,15 @@ impl FleetInner {
         let Some(request) = exemplar else {
             return;
         };
-        let key = fnv1a64(request.canonical_key().as_bytes());
-        let body = if let Some(cached) = self.plan_cache.get(key) {
-            String::from_utf8(cached.as_ref().clone()).unwrap_or_default()
-        } else {
-            match decide_with_warm(&request, &self.warm) {
-                Ok(decision) => {
-                    let body = Json::encode(&decision.response());
-                    self.plan_cache
-                        .insert(key, Arc::new(body.clone().into_bytes()));
-                    body
-                }
-                Err(_) => {
-                    self.stats
-                        .replan_errors
-                        .fetch_add(members.len() as u64, Ordering::Relaxed);
-                    return;
-                }
+        let body = match self.planner.decide(&request) {
+            Ok(decision) => Json::encode(&decision.response()),
+            Err(_) => {
+                self.stats
+                    .replan_errors
+                    .fetch_add(members.len() as u64, Ordering::Relaxed);
+                return;
             }
         };
-        if body.is_empty() {
-            self.stats
-                .replan_errors
-                .fetch_add(members.len() as u64, Ordering::Relaxed);
-            return;
-        }
         let epoch = batch.basis.epoch;
         for (job_id, observed, notify) in &members {
             if self.commit_decision(job_id, epoch, &body).is_err() {

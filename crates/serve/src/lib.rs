@@ -11,9 +11,10 @@
 //!   graceful shutdown,
 //! * [`http`] — a defensive request parser: arbitrary bytes either parse,
 //!   are incomplete, or map to a definite 4xx/5xx — never a panic,
-//! * [`cache`] — a sharded LRU over canonical-request hashes; identical
-//!   requests (whatever their JSON key order) are answered bit-identically
-//!   without re-running the algorithms,
+//! * [`ShardedLru`] (re-exported from `espresso::cache`) — the response
+//!   cache over canonical-request hashes; identical requests (whatever
+//!   their JSON key order) are answered bit-identically without re-running
+//!   the algorithms,
 //! * [`metrics`] — counters and log-bucketed latency histograms behind
 //!   `/metrics`,
 //! * [`pool`] — the bounded MPMC queue under the worker pool,
@@ -29,7 +30,6 @@
 // `deny` by CI's `clippy -- -D warnings`; tests keep their unwraps.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod cache;
 pub mod client;
 pub mod fleet;
 pub mod http;
@@ -40,7 +40,8 @@ pub mod retry;
 pub mod server;
 pub mod signal;
 
-pub use cache::{fnv1a64, CacheStats, ShardedLru};
+pub use espresso::cache::{CacheStats, ShardedLru};
+pub use espresso_json::fnv1a64;
 pub use fleet::{FleetConfig, FleetController, FleetStats};
 pub use http::{parse_request, HttpError, Limits, Parsed, Request};
 pub use journal::{Journal, SnapshotStore};

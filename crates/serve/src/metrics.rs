@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use espresso_json::{Json, ToJson};
 
-use crate::cache::CacheStats;
+use espresso::cache::CacheStats;
 
 /// Lowest bucket upper bound, seconds.
 const LOW: f64 = 1e-6;

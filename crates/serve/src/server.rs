@@ -28,12 +28,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use espresso::service::{decide_with_warm, DecisionRequest};
-use espresso::warm::WarmStartCache;
+use espresso::cache::ShardedLru;
+use espresso::service::{decide, DecisionRequest};
 use espresso::EspressoError;
-use espresso_json::{Json, ToJson};
+use espresso_json::{fnv1a64, Json, ToJson};
 
-use crate::cache::{fnv1a64, ShardedLru};
 use crate::fleet::{FleetController, FleetError, HealthDelta, JobSpec};
 use crate::http::{parse_request, status_text, write_response, HttpError, Limits, Parsed, Request};
 use crate::metrics::Metrics;
@@ -87,11 +86,6 @@ struct Shared {
     shutdown: AtomicBool,
     queue: BoundedQueue<Conn>,
     cache: ShardedLru,
-    /// Selection-artifact cache shared across requests: where the body
-    /// cache only hits on byte-identical requests, warm starts reuse the
-    /// expensive planner work across requests that differ only in health
-    /// (see [`espresso::warm`]).
-    warm: WarmStartCache,
     metrics: Metrics,
     deadline: Duration,
     limits: Limits,
@@ -133,7 +127,6 @@ impl Server {
             shutdown: AtomicBool::new(false),
             queue: BoundedQueue::new(config.queue_depth),
             cache: ShardedLru::new(config.cache_entries, config.cache_shards),
-            warm: WarmStartCache::new(config.cache_entries.max(2), config.cache_shards.max(1)),
             metrics: Metrics::new(),
             deadline: config.deadline,
             limits: config.limits,
@@ -392,13 +385,10 @@ fn route(shared: &Shared, request: &Request, deadline: Instant) -> Response {
 }
 
 fn render_metrics(shared: &Shared) -> String {
-    let mut extra = vec![
-        ("warm_start_hits".to_string(), shared.warm.hits() as f64),
-        ("warm_start_misses".to_string(), shared.warm.misses() as f64),
-    ];
-    if let Some(fleet) = &shared.fleet {
-        extra.extend(fleet.metric_entries());
-    }
+    let extra = match &shared.fleet {
+        Some(fleet) => fleet.metric_entries(),
+        None => Vec::new(),
+    };
     shared.metrics.render_with(&shared.cache.stats(), &extra)
 }
 
@@ -580,7 +570,9 @@ fn decide_route(shared: &Shared, request: &Request, deadline: Instant) -> Respon
     let key = fnv1a64(decision_request.canonical_key().as_bytes());
     // `Cache-Control: no-cache` forces recomputation — the audit layer's
     // lever for proving cached and computed answers are byte-identical.
-    // The fresh result still replaces the cache entry.
+    // A miss plans cold (`decide` memoizes nothing across requests), so
+    // the bypass re-runs the algorithms. The fresh result still replaces
+    // the cache entry.
     let bypass = request
         .header("cache-control")
         .is_some_and(|v| v.to_ascii_lowercase().contains("no-cache"));
@@ -590,7 +582,7 @@ fn decide_route(shared: &Shared, request: &Request, deadline: Instant) -> Respon
         return (200, "application/json", cached.as_ref().clone());
     }
     let t0 = Instant::now();
-    match decide_with_warm(&decision_request, &shared.warm) {
+    match decide(&decision_request) {
         Ok(decision) => {
             shared
                 .metrics

@@ -8,8 +8,9 @@
 //! cluster health (computing a decision on a degraded cluster, which
 //! exercises a different selector path and a different cache line), then
 //! restore health and ask again — once via the cache, once with
-//! `Cache-Control: no-cache` to force the server to recompute from
-//! scratch. All three nominal bodies must match byte for byte.
+//! `Cache-Control: no-cache` to force the server to recompute it (the
+//! server keeps no planner memo, so a bypass re-runs the algorithms
+//! cold). All three nominal bodies must match byte for byte.
 
 use std::time::Duration;
 
@@ -74,7 +75,7 @@ fn cache_hit_and_forced_recomputation_are_byte_identical() {
     assert_eq!(first.body, cached.body, "cache hit must be bit-identical");
 
     // 4. Same request with Cache-Control: no-cache — the server must
-    //    recompute from scratch and still produce the identical bytes.
+    //    re-run the planner cold and still produce the identical bytes.
     let recomputed = conn
         .request_with(
             "POST",

@@ -37,7 +37,7 @@
 //!   checkpoint, bit-identically to an uninterrupted run.
 
 use espresso::robust::MonitorVerdict;
-use espresso::{replan_with_context, DegradationMonitor, Espresso, EspressoError, ReplanContext, Strategy};
+use espresso::{DegradationMonitor, EspressoError, Planner, Strategy};
 use espresso_adapt::RatioController;
 use espresso_cluster::{ClusterError, ClusterHealth, Membership};
 use espresso_gc::GcAlgorithm;
@@ -444,28 +444,29 @@ impl TrainingRuntime {
                 ))
             };
         let pristine = membership.lost().is_empty() && membership.health().is_nominal();
-        // Warm planner state for the run's online re-plans: repeated
-        // `(job, health)` inputs (health flaps, revisited ratio plans)
-        // replay their completed decision byte-identically instead of
-        // re-running the planner. Rebuilt empty on resume — the warm
-        // path returns the same bytes a cold plan would, so crash/resume
-        // determinism is unaffected.
-        let mut replan_ctx = ReplanContext::new();
+        // Every plan of the run, the first included, goes through one
+        // memo: repeated `(job, health)` inputs (health flaps, a re-join
+        // back to the full cluster, revisited ratio plans) replay their
+        // completed decision byte-identically instead of re-running the
+        // planner. Rebuilt empty on resume — a replay returns the same
+        // bytes a cold plan would, so crash/resume determinism is
+        // unaffected.
+        let planner = Planner::new();
         let mut current: Strategy = if fallback_active {
             DegradationMonitor::fallback_strategy(&cfg.job)
-        } else if pristine {
-            Espresso::new(with_plan(cfg.job.clone(), controller.as_ref()))
-                .select_strategy()
-                .0
         } else {
-            let job = plan_job(&membership, controller.as_ref())?;
-            replan_with_context(
-                &mut replan_ctx,
-                &job,
-                membership.health(),
-                &DegradationMonitor::fallback_strategy(&cfg.job),
-            )?
-            .strategy
+            let job = if pristine {
+                with_plan(cfg.job.clone(), controller.as_ref())
+            } else {
+                plan_job(&membership, controller.as_ref())?
+            };
+            planner
+                .replan(
+                    &job,
+                    membership.health(),
+                    &DegradationMonitor::fallback_strategy(&cfg.job),
+                )?
+                .strategy
         };
         // Predicted iteration time of `current` on the current effective
         // cluster — the deterministic "wall clock" of the modeled run.
@@ -543,7 +544,7 @@ impl TrainingRuntime {
                     fallback_active = false;
                     trainer.set_mode(cfg.mode);
                     let job = plan_job(&membership, controller.as_ref())?;
-                    let r = replan_with_context(&mut replan_ctx, &job, membership.health(), &current)?;
+                    let r = planner.replan(&job, membership.health(), &current)?;
                     events.push(RuntimeEvent::FallbackRecovered { step });
                     if r.changed {
                         current = r.strategy;
@@ -559,7 +560,7 @@ impl TrainingRuntime {
                     monitor.rebase(predicted);
                 } else {
                     let job = plan_job(&membership, controller.as_ref())?;
-                    let r = replan_with_context(&mut replan_ctx, &job, membership.health(), &current)?;
+                    let r = planner.replan(&job, membership.health(), &current)?;
                     events.push(RuntimeEvent::Replanned {
                         step,
                         chosen: r.chosen.clone(),
@@ -611,7 +612,7 @@ impl TrainingRuntime {
                             fallback_active = false;
                             trainer.set_mode(cfg.mode);
                             let job = plan_job(&membership, controller.as_ref())?;
-                            let r = replan_with_context(&mut replan_ctx, &job, membership.health(), &current)?;
+                            let r = planner.replan(&job, membership.health(), &current)?;
                             events.push(RuntimeEvent::FallbackRecovered { step });
                             if r.changed {
                                 current = r.strategy;
@@ -633,7 +634,7 @@ impl TrainingRuntime {
                         // the fallback instead of thrashing.
                         redecide_attempted = true;
                         let job = plan_job(&membership, controller.as_ref())?;
-                        let r = replan_with_context(&mut replan_ctx, &job, membership.health(), &current)?;
+                        let r = planner.replan(&job, membership.health(), &current)?;
                         events.push(RuntimeEvent::Replanned {
                             step,
                             chosen: r.chosen.clone(),
@@ -684,7 +685,7 @@ impl TrainingRuntime {
             };
             if adapted {
                 let job = plan_job(&membership, controller.as_ref())?;
-                let r = replan_with_context(&mut replan_ctx, &job, membership.health(), &current)?;
+                let r = planner.replan(&job, membership.health(), &current)?;
                 events.push(RuntimeEvent::Replanned {
                     step,
                     chosen: r.chosen.clone(),
